@@ -119,7 +119,6 @@ int Run() {
 
   net::NetServerConfig net_config;
   net_config.port = 0;  // ephemeral
-  net_config.io_threads = 2;
   auto started = net::NetServer::Start(&srv, net_config);
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.status().ToString().c_str());

@@ -35,8 +35,8 @@ obs::Histogram& RttHistogram() {
 }  // namespace
 
 /// Per-connection state machine. The event loop owns everything except
-/// `mu`/`pending`/`in_flight`/`closed`, which pool workers use to hand
-/// finished responses back.
+/// `mu`/`pending`/`in_flight`/`closed`, which shard workers use to hand
+/// computed responses back.
 struct NetServer::Connection {
   uint64_t id = 0;
   util::Socket socket;
@@ -45,7 +45,9 @@ struct NetServer::Connection {
 
   // Worker-facing half.
   std::mutex mu;
-  std::string pending;  // encoded frames queued by workers (guard: mu)
+  // Encoded frames queued by workers (guard: mu). The worker that makes
+  // it non-empty wakes the loop; the loop empties it.
+  std::string pending;
   std::atomic<size_t> in_flight{0};
   std::atomic<bool> closed{false};
 
@@ -103,8 +105,6 @@ util::Result<std::unique_ptr<NetServer>> NetServer::Start(
   fcntl(net->wake_rx_.fd(), F_SETFL, O_NONBLOCK);
   fcntl(net->wake_tx_.fd(), F_SETFL, O_NONBLOCK);
 
-  net->pool_ = std::make_unique<util::ThreadPool>(
-      std::max<size_t>(1, config.io_threads));
   net->loop_ = std::thread([raw = net.get()] { raw->Loop(); });
   return net;
 }
@@ -129,16 +129,13 @@ void NetServer::Stop() {
   if (stopped_) return;
   stopping_.store(true, std::memory_order_relaxed);
   WakeLoop();
+  // The loop exits only once every completion it submitted has run.
   if (loop_.joinable()) loop_.join();
-  // The loop dispatched its last request before exiting; waiting on the
-  // pool resolves every outstanding ticket (no Submit is ever
-  // abandoned), then the pool joins.
-  if (pool_ != nullptr) pool_->Wait();
-  pool_.reset();
   stopped_ = true;
 }
 
 void NetServer::Loop() {
+  loop_id_ = std::this_thread::get_id();
   bool draining = false;
   Clock::time_point drain_start{};
   std::vector<struct pollfd> fds;
@@ -185,17 +182,21 @@ void NetServer::Loop() {
       }
     }
     ++fd_index;
+    // Coalesced followers past their own deadline resolve here, within
+    // one tick, even while their leader still computes.
+    server_->ExpireWaiting();
 
     const Clock::time_point now = Now();
     std::vector<size_t> to_close;
     for (size_t p = fd_index; p < fds.size(); ++p) {
       const size_t ci = fd_conn[p - fd_index];
-      Connection& conn = *connections_[ci];
+      const std::shared_ptr<Connection>& shared = connections_[ci];
+      Connection& conn = *shared;
       bool keep = true;
       conn.CollectPending();
       if (keep && (fds[p].revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
           !conn.input_dead) {
-        keep = HandleReadable(conn);
+        keep = HandleReadable(shared);
       }
       conn.CollectPending();
       if (keep && !conn.outbox.empty()) keep = FlushWrites(conn);
@@ -211,13 +212,18 @@ void NetServer::Loop() {
     for (size_t ci : to_close) CloseConnection(ci);
 
     if (draining) {
-      if (connections_.empty()) break;
-      if (MillisBetween(drain_start, Now()) > config_.drain_timeout_ms) {
+      if (!connections_.empty() &&
+          MillisBetween(drain_start, Now()) > config_.drain_timeout_ms) {
         force_closed_.fetch_add(connections_.size(),
                                 std::memory_order_relaxed);
         while (!connections_.empty()) {
           CloseConnection(connections_.size() - 1);
         }
+      }
+      // Late completions for force-closed connections drop their bytes;
+      // the loop keeps ticking (and expiring followers) until they ran.
+      if (connections_.empty() &&
+          outstanding_.load(std::memory_order_acquire) == 0) {
         break;
       }
     }
@@ -272,7 +278,8 @@ void NetServer::AcceptPending() {
   }
 }
 
-bool NetServer::HandleReadable(Connection& conn) {
+bool NetServer::HandleReadable(const std::shared_ptr<Connection>& shared) {
+  Connection& conn = *shared;
   char buf[16384];
   // Bounded reads per iteration so one firehose connection cannot
   // starve the others.
@@ -305,7 +312,7 @@ bool NetServer::HandleReadable(Connection& conn) {
     const FrameDecoder::Next next = conn.decoder.Pull(&frame);
     if (next == FrameDecoder::Next::kFrame) {
       frames_rx_.fetch_add(1, std::memory_order_relaxed);
-      if (!HandleFrame(conn, std::move(frame))) return false;
+      if (!HandleFrame(shared, std::move(frame))) return false;
       continue;
     }
     if (next == FrameDecoder::Next::kError) {
@@ -333,7 +340,9 @@ bool NetServer::HandleReadable(Connection& conn) {
   return true;
 }
 
-bool NetServer::HandleFrame(Connection& conn, Frame frame) {
+bool NetServer::HandleFrame(const std::shared_ptr<Connection>& shared,
+                            Frame frame) {
+  Connection& conn = *shared;
   if (VKG_FAILPOINT("net.frame")) {
     frame_errors_.fetch_add(1, std::memory_order_relaxed);
     WireError error;
@@ -411,52 +420,58 @@ bool NetServer::HandleFrame(Connection& conn, Frame frame) {
     return true;
   }
 
-  conn.in_flight.fetch_add(1, std::memory_order_acq_rel);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  // shared_from_this-style handle: find our shared_ptr. Connections are
-  // few; linear scan is fine on this path (one per request dispatch).
-  for (const auto& shared : connections_) {
-    if (shared.get() == &conn) {
-      DispatchRequest(shared, frame.payload);
-      return true;
-    }
-  }
-  // Unreachable: conn is always a member of connections_.
-  conn.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  DispatchRequest(shared, request_id, std::move(request));
   return true;
 }
 
 void NetServer::DispatchRequest(const std::shared_ptr<Connection>& conn,
-                                std::string payload) {
-  pool_->Submit([this, conn, payload = std::move(payload)] {
-    util::WallTimer timer;
-    uint64_t request_id = 0;
-    query::ServerRequest request;
-    // Already validated on the loop thread; re-decode here so the loop
-    // does not hold a decoded copy per in-flight request.
-    const util::Status decoded =
-        DecodeRequest(payload, &request_id, &request);
-    query::ServerResponse response;
-    query::RequestKind kind = request.kind;
-    if (decoded.ok()) {
-      response = server_->Execute(std::move(request));
-    } else {
-      response.status = decoded;
+                                uint64_t request_id,
+                                query::ServerRequest request) {
+  conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
+  const query::RequestKind kind = request.kind;
+  const util::WallTimer timer;
+  auto done = [this, conn, request_id, kind, timer](query::ServerResponse r) {
+    Complete(*conn, request_id, kind, timer, r);
+  };
+  server_->Submit(std::move(request), std::move(done));
+}
+
+void NetServer::Complete(Connection& conn, uint64_t request_id,
+                         query::RequestKind kind, const util::WallTimer& timer,
+                         const query::ServerResponse& response) {
+  RttHistogram().Observe(timer.ElapsedMicros());
+  const std::string frame = EncodeFrame(
+      FrameType::kResponse, EncodeResponse(request_id, response, kind));
+  if (std::this_thread::get_id() == loop_id_) {
+    // Inline (cache hit, rejection, follower expired by the loop's
+    // sweep): the loop owns the outbox, no lock and no wake needed.
+    if (!conn.closed.load(std::memory_order_relaxed)) {
+      conn.outbox.append(frame);
+      responses_.fetch_add(1, std::memory_order_relaxed);
+      frames_tx_.fetch_add(1, std::memory_order_relaxed);
     }
-    RttHistogram().Observe(timer.ElapsedMicros());
-    const std::string frame = EncodeFrame(
-        FrameType::kResponse, EncodeResponse(request_id, response, kind));
+    conn.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  } else {
+    // Shard worker: append before the in_flight decrement, so the
+    // loop's flush-and-close check never loses a response.
+    bool wake = false;
     {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->closed.load(std::memory_order_relaxed)) {
-        conn->pending.append(frame);
+      std::lock_guard<std::mutex> lock(conn.mu);
+      if (!conn.closed.load(std::memory_order_relaxed)) {
+        // A non-empty `pending` already has a wake outstanding.
+        wake = conn.pending.empty();
+        conn.pending.append(frame);
         responses_.fetch_add(1, std::memory_order_relaxed);
         frames_tx_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    WakeLoop();
-  });
+    conn.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+    if (wake) WakeLoop();
+  }
+  // Last touch of `this`: Stop() may return as soon as this reads zero.
+  outstanding_.fetch_sub(1, std::memory_order_release);
 }
 
 void NetServer::QueueFrame(Connection& conn, FrameType type,

@@ -15,7 +15,7 @@
 #include "net/frame.h"
 #include "server/server.h"
 #include "util/socket.h"
-#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace vkg::net {
 
@@ -36,10 +36,8 @@ struct NetServerConfig {
   size_t max_frame_bytes = kDefaultMaxPayload;
   /// Max requests per connection submitted but not yet answered;
   /// excess requests are rejected (kResourceExhausted + retry hint),
-  /// not queued — one connection cannot monopolize the worker pool.
+  /// not queued — one connection cannot monopolize the shard pools.
   size_t max_pipeline = 64;
-  /// util::ThreadPool threads running submit + ticket-wait + encode.
-  size_t io_threads = 2;
   /// No bytes at all for this long (and nothing in flight) closes the
   /// connection.
   double idle_timeout_ms = 60000.0;
@@ -86,21 +84,24 @@ struct NetStats {
 };
 
 /// The TCP front end over a VkgServer: an accept loop plus
-/// per-connection state machines on one event-loop thread, with
-/// request execution (VkgServer::Submit + Ticket::Get + response
-/// encoding) fanned out to a util::ThreadPool. Hostile-client-first:
+/// per-connection state machines on one event-loop thread, which
+/// decodes each request and hands it to VkgServer::Submit with a
+/// completion that encodes the response — inline on the loop for cache
+/// hits and rejections, on the shard worker for computed results (one
+/// thread hop per request, DESIGN.md §6i). Hostile-client-first:
 /// every malformed input, stalled read, unread response, or cap
 /// violation resolves to a clean error frame and/or close — never a
 /// crash, a leak, or a stuck worker (tests/net_fuzz_test.cc,
 /// tests/net_test.cc).
 ///
 /// Lifecycle: Start() binds, spawns the loop, and serves until Stop()
-/// — which stops accepting, lets in-flight requests finish (every
-/// submitted ticket is waited on by a pool worker, so none is ever
-/// abandoned), flushes and closes connections with a kGoodbye, and
-/// force-closes whatever remains after drain_timeout_ms. Idempotent;
-/// the destructor runs it too. The VkgServer must outlive the
-/// NetServer and is not stopped by it.
+/// — which stops accepting, lets in-flight requests finish and flush,
+/// closes drained connections, force-closes whatever remains after
+/// drain_timeout_ms, and returns only once every completion it handed
+/// to Submit has run (a late one for a closed connection drops its
+/// bytes), so none outlives the NetServer. Idempotent; the destructor
+/// runs it too. The VkgServer must outlive the NetServer and is not
+/// stopped by it.
 class NetServer {
  public:
   static util::Result<std::unique_ptr<NetServer>> Start(
@@ -114,7 +115,8 @@ class NetServer {
   uint16_t port() const { return port_; }
   const NetServerConfig& config() const { return config_; }
 
-  /// Graceful drain; blocks until the loop and every worker finished.
+  /// Graceful drain; blocks until the loop and every completion it
+  /// submitted finished.
   void Stop();
   bool stopping() const {
     return stopping_.load(std::memory_order_relaxed);
@@ -139,10 +141,17 @@ class NetServer {
   void AcceptPending();
   /// Reads available bytes and parses frames; true keeps the
   /// connection, false schedules it for close.
-  bool HandleReadable(Connection& conn);
-  bool HandleFrame(Connection& conn, Frame frame);
+  bool HandleReadable(const std::shared_ptr<Connection>& conn);
+  bool HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
+  /// Submits a decoded request; its completion calls Complete.
   void DispatchRequest(const std::shared_ptr<Connection>& conn,
-                       std::string payload);
+                       uint64_t request_id, query::ServerRequest request);
+  /// Encodes one response for `conn`: straight into the outbox on the
+  /// loop thread, else into `pending` under its mutex (before the
+  /// in_flight decrement) with a wake when `pending` was empty.
+  void Complete(Connection& conn, uint64_t request_id,
+                query::RequestKind kind, const util::WallTimer& timer,
+                const query::ServerResponse& response);
   /// Flushes as much of the outbox as the socket accepts.
   bool FlushWrites(Connection& conn);
   bool CheckTimeouts(Connection& conn,
@@ -157,15 +166,17 @@ class NetServer {
   util::Socket listener_;
   uint16_t port_ = 0;
   util::Socket wake_rx_, wake_tx_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::thread loop_;
+  std::thread::id loop_id_;  // set by Loop() before its first Submit
+  /// Completions handed to Submit that have not finished running;
+  /// Stop() returns only at zero.
+  std::atomic<size_t> outstanding_{0};
 
   std::vector<std::shared_ptr<Connection>> connections_;
   std::map<std::string, size_t> per_ip_;
   uint64_t next_connection_id_ = 1;
 
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> loop_done_{false};
   std::mutex stop_mu_;  // serializes Stop()
   bool stopped_ = false;
 

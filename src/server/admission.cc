@@ -17,42 +17,43 @@ AdmissionController::Decision AdmissionController::Admit(
 
 AdmissionController::Decision AdmissionController::AdmitAt(
     const std::string& client_id, double now_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
   // Injected admission fault: this request alone is turned away with a
   // nominal back-off; the client's bucket is not charged.
   if (VKG_FAILPOINT("server.admit")) {
-    ++rejected_count_;
+    rejected_count_.fetch_add(1, std::memory_order_relaxed);
     return {false, 1.0};
   }
   if (qps_limit_ <= 0.0) {
-    ++admitted_count_;
+    admitted_count_.fetch_add(1, std::memory_order_relaxed);
     return {true, 0.0};
   }
-  auto it = buckets_.find(client_id);
-  if (it == buckets_.end()) {
-    it = buckets_
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(client_id),
-                      std::forward_as_tuple(qps_limit_, burst_))
-             .first;
+  util::TokenBucket::Decision d;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = buckets_.find(client_id);
+    if (it == buckets_.end()) {
+      it = buckets_
+               .emplace(std::piecewise_construct,
+                        std::forward_as_tuple(client_id),
+                        std::forward_as_tuple(qps_limit_, burst_))
+               .first;
+    }
+    d = it->second.TryAcquire(1.0, now_seconds);
   }
-  util::TokenBucket::Decision d = it->second.TryAcquire(1.0, now_seconds);
   if (d.admitted) {
-    ++admitted_count_;
+    admitted_count_.fetch_add(1, std::memory_order_relaxed);
     return {true, 0.0};
   }
-  ++rejected_count_;
+  rejected_count_.fetch_add(1, std::memory_order_relaxed);
   return {false, d.retry_after_ms};
 }
 
 uint64_t AdmissionController::admitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return admitted_count_;
+  return admitted_count_.load(std::memory_order_relaxed);
 }
 
 uint64_t AdmissionController::rejected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rejected_count_;
+  return rejected_count_.load(std::memory_order_relaxed);
 }
 
 size_t AdmissionController::num_clients() const {

@@ -1,6 +1,7 @@
 #ifndef VKG_SERVER_ADMISSION_H_
 #define VKG_SERVER_ADMISSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -35,7 +36,8 @@ class AdmissionController {
   };
 
   /// Charges one token to `client_id` ("" = the shared anonymous
-  /// client). The `server.admit` failpoint forces a rejection.
+  /// client). The `server.admit` failpoint forces a rejection. Takes
+  /// no lock when rate limiting is disabled.
   Decision Admit(const std::string& client_id);
 
   /// Test hook: identical math, caller-supplied clock.
@@ -50,9 +52,9 @@ class AdmissionController {
   const double burst_;
 
   mutable std::mutex mu_;
-  std::map<std::string, util::TokenBucket> buckets_;
-  uint64_t admitted_count_ = 0;
-  uint64_t rejected_count_ = 0;
+  std::map<std::string, util::TokenBucket> buckets_;  // guarded by mu_
+  std::atomic<uint64_t> admitted_count_{0};
+  std::atomic<uint64_t> rejected_count_{0};
 };
 
 }  // namespace vkg::server

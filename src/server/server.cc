@@ -175,44 +175,58 @@ query::QueryKey VkgServer::MakeKey(
   return key;
 }
 
-VkgServer::Ticket VkgServer::ImmediateTicket(
-    query::ServerResponse response) {
-  std::promise<query::ServerResponse> promise;
-  promise.set_value(std::move(response));
-  Ticket ticket;
-  ticket.future_ = promise.get_future().share();
-  return ticket;
+void Waiter::Resolve(query::ServerResponse response) {
+  if (resolved_.exchange(true, std::memory_order_acq_rel)) return;
+  // Moved out so its captures die with the call, not with the Waiter.
+  Completion done = std::move(done_);
+  done(std::move(response));
+}
+
+void Waiter::Expire(std::atomic<uint64_t>& expired_waiting) {
+  if (resolved_.exchange(true, std::memory_order_acq_rel)) return;
+  // The shared computation this follower attached to is still pending
+  // past the follower's *own* deadline: resolve to a definitive bounded
+  // answer now. The leader keeps computing on its own budget (and still
+  // populates the cache for the next request).
+  expired_waiting.fetch_add(1, std::memory_order_relaxed);
+  ServerMetrics::Get().expired_waiting.Inc();
+  query::ServerResponse response = MakeErrorResponse(
+      util::Status::DeadlineExceeded(
+          "coalesced result not ready by this request's deadline"),
+      shard_);
+  response.meta.coalesced = true;
+  Completion done = std::move(done_);
+  done(std::move(response));
 }
 
 query::ServerResponse VkgServer::Ticket::Get() {
-  if (!deadline_.infinite() &&
-      future_.wait_until(deadline_.at()) == std::future_status::timeout) {
-    // The shared computation this follower attached to is still pending
-    // past the follower's *own* deadline: resolve to a definitive
-    // bounded answer now. The leader keeps computing on its own budget
-    // (and still populates the cache for the next request).
-    if (expired_waiting_ != nullptr) {
-      expired_waiting_->fetch_add(1, std::memory_order_relaxed);
-    }
-    ServerMetrics::Get().expired_waiting.Inc();
-    query::ServerResponse response = MakeErrorResponse(
-        util::Status::DeadlineExceeded(
-            "coalesced result not ready by this request's deadline"),
-        shard_);
-    response.meta.coalesced = coalesced_;
-    return response;
+  if (waiter_ != nullptr &&
+      future_.wait_until(waiter_->deadline().at()) ==
+          std::future_status::timeout) {
+    // No-op when the leader's result won the race: it is being set.
+    waiter_->Expire(*expired_waiting_);
   }
-  query::ServerResponse response = future_.get();
-  if (patch_meta_) {
-    // Followers share the leader's payload but carry their own serving
-    // metadata: they were coalesced; the leader was not.
-    response.meta.shard = shard_;
-    response.meta.coalesced = coalesced_;
-  }
-  return response;
+  return future_.get();
 }
 
 VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
+  auto promise = std::make_shared<std::promise<query::ServerResponse>>();
+  Ticket ticket;
+  ticket.future_ = promise->get_future().share();
+  ticket.expired_waiting_ = expired_waiting_;
+  auto done = [promise](query::ServerResponse response) {
+    promise->set_value(std::move(response));
+  };
+  SubmitImpl(std::move(request), std::move(done), &ticket.waiter_);
+  return ticket;
+}
+
+void VkgServer::Submit(query::ServerRequest request, Completion done) {
+  SubmitImpl(std::move(request), std::move(done), nullptr);
+}
+
+void VkgServer::SubmitImpl(query::ServerRequest request, Completion done,
+                           std::shared_ptr<Waiter>* bounded_follower) {
   ServerMetrics& metrics = ServerMetrics::Get();
   requests_.fetch_add(1, std::memory_order_relaxed);
   metrics.requests.Inc();
@@ -225,8 +239,9 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
   // answer but no compute.
   if (stopping_.load(std::memory_order_relaxed)) {
     rejected_shutdown_.fetch_add(1, std::memory_order_relaxed);
-    return ImmediateTicket(MakeErrorResponse(
+    done(MakeErrorResponse(
         util::Status::Unavailable("server shutting down"), 0));
+    return;
   }
 
   // 1. Admission: is this client allowed to consume compute at all?
@@ -239,7 +254,8 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
             "client \"%s\" over rate limit", request.client_id.c_str())),
         0);
     response.meta.retry_after_ms = admit.retry_after_ms;
-    return ImmediateTicket(std::move(response));
+    done(std::move(response));
+    return;
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
 
@@ -253,7 +269,8 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
     query::ServerResponse response = MakeErrorResponse(
         util::Status::ResourceExhausted("shed under memory pressure"), 0);
     response.meta.retry_after_ms = config_.overload_retry_ms;
-    return ImmediateTicket(std::move(response));
+    done(std::move(response));
+    return;
   }
   const bool pressure_degrade = pressure >= PressureLevel::kDegraded;
 
@@ -268,17 +285,18 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
   }
   if (!valid.ok()) {
     invalid_.fetch_add(1, std::memory_order_relaxed);
-    return ImmediateTicket(
-        MakeErrorResponse(std::move(valid), shard_index));
+    done(MakeErrorResponse(std::move(valid), shard_index));
+    return;
   }
 
   // 4. Injected dispatch fault: isolated to this request (`delay`
   // stalls the submitting thread, modelling a slow router). Not a
   // shard-health signal — the shard never saw the request.
   if (VKG_FAILPOINT("server.shard_dispatch")) {
-    return ImmediateTicket(MakeErrorResponse(
+    done(MakeErrorResponse(
         util::Status::Internal("injected shard dispatch fault"),
         shard_index));
+    return;
   }
 
   // 5. Backpressure: bounded shard depth, explicit rejection past it.
@@ -290,7 +308,8 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
             util::StrFormat("shard %zu queue full", shard_index)),
         shard_index);
     response.meta.retry_after_ms = config_.overload_retry_ms;
-    return ImmediateTicket(std::move(response));
+    done(std::move(response));
+    return;
   }
   metrics.peak_depth.SetMax(static_cast<double>(shard.depth()));
 
@@ -299,9 +318,9 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
   // Sits *after* the cache fast path below — cache hits need no shard
   // compute, so an Open shard keeps serving them. Every admitted
   // request owes the breaker exactly one outcome record.
-  auto admit_breaker = [&]() -> std::optional<Ticket> {
+  auto breaker_rejects = [&]() -> bool {
     CircuitBreaker::Admission breaker_admit = shard.breaker().Admit();
-    if (breaker_admit.admitted) return std::nullopt;
+    if (breaker_admit.admitted) return false;
     shard.ReleaseSlot();
     rejected_breaker_.fetch_add(1, std::memory_order_relaxed);
     metrics.breaker_rejected.Inc();
@@ -310,30 +329,23 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
             "shard %zu circuit breaker open", shard_index)),
         shard_index);
     response.meta.retry_after_ms = breaker_admit.retry_after_ms;
-    return ImmediateTicket(std::move(response));
+    done(std::move(response));
+    return true;
   };
 
   if (request.kind == query::RequestKind::kAggregate) {
     // Aggregates skip cache and coalescing (estimator-dependent
     // payloads stay engine-agnostic; see DESIGN.md §6g).
-    if (std::optional<Ticket> rejected = admit_breaker()) {
-      return *std::move(rejected);
-    }
-    auto inflight = std::make_shared<Shard::InFlight>();
-    inflight->future = inflight->promise.get_future().share();
-    Ticket ticket;
-    ticket.future_ = inflight->future;
+    if (breaker_rejects()) return;
     Shard* shard_ptr = &shard;
     auto req = std::make_shared<query::ServerRequest>(std::move(request));
-    shard.pool().Submit(
-        [this, shard_ptr, req, inflight, deadline, admit_time,
-         pressure_degrade] {
-          inflight->promise.set_value(
-              ComputeOnWorker(*shard_ptr, *req, /*key=*/nullptr, deadline,
-                              admit_time, pressure_degrade));
-          shard_ptr->ReleaseSlot();
-        });
-    return ticket;
+    shard.pool().Submit([this, shard_ptr, req, done = std::move(done),
+                         deadline, admit_time, pressure_degrade] {
+      done(ComputeOnWorker(*shard_ptr, *req, /*key=*/nullptr, deadline,
+                           admit_time, pressure_degrade));
+      shard_ptr->ReleaseSlot();
+    });
+    return;
   }
 
   const query::QueryKey key = MakeKey(request);
@@ -343,8 +355,9 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
   // request's lookup.
   if (VKG_FAILPOINT("server.cache")) {
     shard.ReleaseSlot();
-    return ImmediateTicket(MakeErrorResponse(
-        util::Status::Internal("injected cache fault"), shard_index));
+    done(MakeErrorResponse(util::Status::Internal("injected cache fault"),
+                           shard_index));
+    return;
   }
   if (!request.bypass_cache) {
     std::optional<ResultCache::Entry> hit =
@@ -359,55 +372,63 @@ VkgServer::Ticket VkgServer::Submit(query::ServerRequest request) {
       response.meta.shard = shard_index;
       response.meta.cache_hit = true;
       response.meta.generation = hit->generation;
-      return ImmediateTicket(std::move(response));
+      done(std::move(response));
+      return;
     }
     metrics.cache_misses.Inc();
   }
 
   // Cache miss: this request needs shard compute — ask the breaker.
-  if (std::optional<Ticket> rejected = admit_breaker()) {
-    return *std::move(rejected);
-  }
+  if (breaker_rejects()) return;
 
   // 8. Coalescing: identical in-flight computation? Attach, don't
   // recompute. Registration happens here on the submitting thread, so
   // a burst of duplicates collapses no matter how the shard's workers
   // are scheduled.
-  bool leader = false;
-  std::shared_ptr<Shard::InFlight> inflight =
-      shard.JoinOrRegister(key, &leader);
-  Ticket ticket;
-  ticket.future_ = inflight->future;
-  ticket.shard_ = shard_index;
-  ticket.patch_meta_ = true;
-  if (!leader) {
+  auto waiter = std::make_shared<Waiter>(std::move(done), deadline,
+                                         shard_index);
+  if (!shard.JoinOrRegister(key, waiter)) {
     shard.ReleaseSlot();  // the leader's slot covers the computation
     shard.breaker().RecordDismissed();
-    ticket.coalesced_ = true;
-    // Followers inherit the leader's result only while their own
-    // deadline permits (bounded Get(), DESIGN.md §6h).
-    ticket.deadline_ = deadline;
-    ticket.expired_waiting_ = expired_waiting_;
     coalesced_.fetch_add(1, std::memory_order_relaxed);
     metrics.coalesced.Inc();
-    return ticket;
+    // Followers inherit the leader's result only while their own
+    // deadline permits (DESIGN.md §6h): ExpireWaiting or Ticket::Get
+    // resolves them at that deadline otherwise.
+    if (!deadline.infinite()) {
+      std::lock_guard<std::mutex> lock(waiting_mu_);
+      std::erase_if(waiting_, [](const std::shared_ptr<Waiter>& w) {
+        return w->resolved();
+      });
+      waiting_.push_back(waiter);
+      waiting_count_.store(waiting_.size(), std::memory_order_release);
+      if (bounded_follower != nullptr) *bounded_follower = waiter;
+    }
+    return;
   }
 
-  // 9. Leader: run the computation on the owning shard's pool.
+  // 9. Leader: run the computation on the owning shard's pool, then
+  // resolve every follower (with its own serving metadata) and itself.
   Shard* shard_ptr = &shard;
   auto req = std::make_shared<query::ServerRequest>(std::move(request));
-  shard.pool().Submit([this, shard_ptr, req, key, inflight, deadline,
+  shard.pool().Submit([this, shard_ptr, req, key, waiter, deadline,
                        admit_time, pressure_degrade] {
     query::ServerResponse response =
         ComputeOnWorker(*shard_ptr, *req, &key, deadline, admit_time,
                         pressure_degrade);
-    // Unregister before fulfilling: a request arriving after this line
+    // Unregister before resolving: a request arriving after this line
     // starts a fresh computation (and usually hits the cache instead).
-    shard_ptr->FinishInFlight(key);
-    inflight->promise.set_value(std::move(response));
+    for (const std::shared_ptr<Waiter>& follower :
+         shard_ptr->FinishInFlight(key)) {
+      if (follower->resolved()) continue;  // expired while waiting
+      query::ServerResponse copy = response;
+      copy.meta.shard = follower->shard();
+      copy.meta.coalesced = true;
+      follower->Resolve(std::move(copy));
+    }
+    waiter->Resolve(std::move(response));
     shard_ptr->ReleaseSlot();
   });
-  return ticket;
 }
 
 query::ServerResponse VkgServer::ComputeOnWorker(
@@ -482,6 +503,23 @@ query::ServerResponse VkgServer::Execute(query::ServerRequest request) {
   return Submit(std::move(request)).Get();
 }
 
+void VkgServer::ExpireWaiting() {
+  if (waiting_count_.load(std::memory_order_acquire) == 0) return;
+  std::vector<std::shared_ptr<Waiter>> due;
+  {
+    std::lock_guard<std::mutex> lock(waiting_mu_);
+    std::erase_if(waiting_, [&due](const std::shared_ptr<Waiter>& w) {
+      if (w->resolved()) return true;
+      if (!w->deadline().Expired()) return false;
+      due.push_back(w);
+      return true;
+    });
+    waiting_count_.store(waiting_.size(), std::memory_order_release);
+  }
+  // Completions run outside the lock: they may take their own.
+  for (const std::shared_ptr<Waiter>& w : due) w->Expire(*expired_waiting_);
+}
+
 void VkgServer::Drain() {
   for (auto& shard : shards_) shard->pool().Wait();
 }
@@ -490,11 +528,11 @@ void VkgServer::Stop() {
   // Idempotent flip; late Submits fast-fail, already-queued work
   // resolves with kUnavailable in ComputeOnWorker's stopping gate.
   stopping_.store(true, std::memory_order_relaxed);
-  // Wait for the queues to empty: after this, every ticket ever handed
-  // out has a value (workers ran each queued task, however briefly).
-  // Tasks racing past the Submit-side gate are drained by ~ThreadPool,
-  // which runs its backlog before joining — no future is abandoned
-  // either way.
+  // Wait for the queues to empty: after this, every completion ever
+  // submitted has run (workers ran each queued task, however briefly,
+  // and a leader resolves its followers). Tasks racing past the
+  // Submit-side gate are drained by ~ThreadPool, which runs its backlog
+  // before joining — no completion is abandoned either way.
   Drain();
 }
 

@@ -3,9 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "core/virtual_graph.h"
@@ -104,6 +106,34 @@ struct ServerStats {
   MemoryBudget::Stats memory;
 };
 
+/// Receives one submitted request's response (VkgServer::Submit).
+using Completion = std::function<void(query::ServerResponse)>;
+
+/// One submitter's completion, resolved exactly once: by the shared
+/// computation's result, or — for a coalesced follower — by its own
+/// deadline, whichever comes first; the second is a no-op.
+class Waiter {
+ public:
+  Waiter(Completion done, util::Deadline deadline, size_t shard)
+      : deadline_(deadline), shard_(shard), done_(std::move(done)) {}
+
+  /// Runs the completion with `response`, unless already resolved.
+  void Resolve(query::ServerResponse response);
+  /// Resolves kDeadlineExceeded and counts it in `expired_waiting`,
+  /// unless already resolved.
+  void Expire(std::atomic<uint64_t>& expired_waiting);
+
+  bool resolved() const { return resolved_.load(std::memory_order_acquire); }
+  const util::Deadline& deadline() const { return deadline_; }
+  size_t shard() const { return shard_; }
+
+ private:
+  const util::Deadline deadline_;
+  const size_t shard_;
+  Completion done_;
+  std::atomic<bool> resolved_{false};
+};
+
 /// The long-running, in-process query front end over a
 /// VirtualKnowledgeGraph (DESIGN.md §6g): converts the library into a
 /// service. A request travels
@@ -121,11 +151,12 @@ struct ServerStats {
 ///             compute (absolute deadline stamped at admission)
 ///             -> cache store -> breaker outcome
 ///
-/// and every early exit (rejection, cache hit, validation error)
-/// resolves the returned Ticket immediately. All submission-side steps
-/// run on the caller's thread; only the actual computation runs on the
-/// owning shard's pool. Safe for concurrent Submit/Execute from any
-/// number of threads.
+/// and every early exit (rejection, cache hit, validation error) runs
+/// the completion inline, on the caller's thread. All submission-side
+/// steps run there too; only the actual computation runs on the owning
+/// shard's pool, which also runs the completion (and those of coalesced
+/// followers). Safe for concurrent Submit/Execute from any number of
+/// threads.
 ///
 /// The server holds shared ownership of the VKG; callers must not run
 /// CompactUpdates / LoadIndex on it while the server is serving (the
@@ -140,11 +171,22 @@ class VkgServer {
   VkgServer(const VkgServer&) = delete;
   VkgServer& operator=(const VkgServer&) = delete;
 
-  /// Handle to one submitted request. Get() blocks until the response
-  /// is available (immediately for rejections, cache hits, and
-  /// validation errors) and may be called once per ticket from any
-  /// thread; requesters coalesced onto a shared computation each get
-  /// their own copy with their own serving metadata.
+  /// Submits one request and calls `done` exactly once with its
+  /// response (DESIGN.md §6g): inline, before Submit returns, for
+  /// rejections, validation errors and cache hits; on the shard worker
+  /// for computed results and for the coalesced followers of one. A
+  /// follower with a finite deadline is resolved kDeadlineExceeded by
+  /// ExpireWaiting (or Ticket::Get) once that deadline passes, if the
+  /// leader has not answered it by then. `done` must not block; the
+  /// `server.shard_dispatch` failpoint's delay action stalls the caller.
+  void Submit(query::ServerRequest request, Completion done);
+
+  /// Handle to one submitted request, for in-process callers: a promise
+  /// resolved by the completion. Get() blocks until the response is
+  /// available (immediately for rejections, cache hits, and validation
+  /// errors) and may be called once per ticket from any thread;
+  /// requesters coalesced onto a shared computation each get their own
+  /// copy with their own serving metadata.
   class Ticket {
    public:
     Ticket() = default;
@@ -158,22 +200,23 @@ class VkgServer {
    private:
     friend class VkgServer;
     std::shared_future<query::ServerResponse> future_;
-    size_t shard_ = 0;
-    bool coalesced_ = false;
-    bool patch_meta_ = false;
-    util::Deadline deadline_;  // bounds Get() for coalesced followers
+    /// Set for coalesced followers with a finite deadline only.
+    std::shared_ptr<Waiter> waiter_;
     /// Owned by the server's Stats block; shared so an expired wait can
     /// be counted even if the server object is gone by then.
     std::shared_ptr<std::atomic<uint64_t>> expired_waiting_;
   };
 
-  /// Submits one request (non-blocking apart from admission/cache/
-  /// coalescing bookkeeping; the `server.shard_dispatch` failpoint's
-  /// delay action stalls here).
+  /// Submit with a Ticket instead of a completion.
   Ticket Submit(query::ServerRequest request);
 
   /// Synchronous convenience form: Submit + Get.
   query::ServerResponse Execute(query::ServerRequest request);
+
+  /// Resolves kDeadlineExceeded every coalesced follower whose own
+  /// deadline has passed while its leader is still computing. One
+  /// atomic load when none is waiting; an event loop calls it per tick.
+  void ExpireWaiting();
 
   /// Shard owning `query`'s (anchor, relation) slot.
   size_t ShardOf(const data::Query& query) const;
@@ -189,10 +232,10 @@ class VkgServer {
   void Drain();
 
   /// Graceful shutdown: rejects new submissions with kUnavailable,
-  /// resolves every queued/coalesced ticket (queued work past this
+  /// resolves every queued/coalesced request (queued work past this
   /// point fails fast with kUnavailable instead of computing), and
   /// returns once all shard pools are idle. Idempotent; also run by the
-  /// destructor, so no ticket future is ever abandoned.
+  /// destructor, so no completion is ever abandoned.
   void Stop();
   bool stopping() const {
     return stopping_.load(std::memory_order_relaxed);
@@ -221,7 +264,10 @@ class VkgServer {
   VkgServer(std::shared_ptr<core::VirtualKnowledgeGraph> vkg,
             const ServerConfig& config);
 
-  static Ticket ImmediateTicket(query::ServerResponse response);
+  /// Submit's body; stores a deadline-bounded follower's Waiter into
+  /// `*bounded_follower` when that is non-null (Ticket::Get's bound).
+  void SubmitImpl(query::ServerRequest request, Completion done,
+                  std::shared_ptr<Waiter>* bounded_follower);
 
   /// Shard-worker half of the request path: observes queue wait,
   /// expires still-queued requests past their deadline (never
@@ -268,6 +314,12 @@ class VkgServer {
   std::atomic<uint64_t> pressure_degraded_{0};
   std::shared_ptr<std::atomic<uint64_t>> expired_waiting_ =
       std::make_shared<std::atomic<uint64_t>>(0);
+
+  /// Coalesced followers with a finite deadline, for ExpireWaiting.
+  /// Resolved entries are compacted away on the next register or sweep.
+  std::mutex waiting_mu_;
+  std::vector<std::shared_ptr<Waiter>> waiting_;  // guarded by waiting_mu_
+  std::atomic<size_t> waiting_count_{0};          // waiting_.size()
 };
 
 }  // namespace vkg::server

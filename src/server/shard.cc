@@ -54,24 +54,22 @@ void Shard::ReleaseSlot() {
   depth_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-std::shared_ptr<Shard::InFlight> Shard::JoinOrRegister(
-    const query::QueryKey& key, bool* leader) {
+bool Shard::JoinOrRegister(const query::QueryKey& key,
+                           const std::shared_ptr<Waiter>& follower) {
   std::lock_guard<std::mutex> lock(inflight_mu_);
-  auto it = inflight_.find(key);
-  if (it != inflight_.end()) {
-    *leader = false;
-    return it->second;
-  }
-  auto entry = std::make_shared<InFlight>();
-  entry->future = entry->promise.get_future().share();
-  inflight_[key] = entry;
-  *leader = true;
-  return entry;
+  auto [it, inserted] = inflight_.try_emplace(key);
+  if (!inserted) it->second.push_back(follower);
+  return inserted;
 }
 
-void Shard::FinishInFlight(const query::QueryKey& key) {
+std::vector<std::shared_ptr<Waiter>> Shard::FinishInFlight(
+    const query::QueryKey& key) {
   std::lock_guard<std::mutex> lock(inflight_mu_);
-  inflight_.erase(key);
+  auto it = inflight_.find(key);
+  if (it == inflight_.end()) return {};
+  std::vector<std::shared_ptr<Waiter>> followers = std::move(it->second);
+  inflight_.erase(it);
+  return followers;
 }
 
 size_t Shard::in_flight() const {

@@ -3,10 +3,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "core/virtual_graph.h"
 #include "index/cracking_rtree.h"
@@ -19,6 +19,8 @@
 #include "util/thread_pool.h"
 
 namespace vkg::server {
+
+class Waiter;  // server.h: a submitter's one-shot completion
 
 /// Per-shard construction knobs (derived from ServerConfig).
 struct ShardOptions {
@@ -46,8 +48,8 @@ struct ShardOptions {
 ///    server's depth accounting);
 ///  * one ResultCache segment, invalidated by this tree's generation;
 ///  * the in-flight coalescing map: duplicate (h, r, k) requests
-///    submitted while an identical computation is pending attach to its
-///    shared future instead of computing again.
+///    submitted while an identical computation is pending attach their
+///    Waiter to it instead of computing again.
 ///
 /// Thread safety: Compute* run on pool workers (thread-local
 /// QueryContext per worker); the coalescing map and cache are
@@ -79,18 +81,17 @@ class Shard {
 
   // --- Coalescing ---------------------------------------------------------
 
-  /// The pending computation for `key`, if any. Registers a new one
-  /// (leader) otherwise. `*leader` tells the caller whether it must
-  /// enqueue the compute task and later call FinishInFlight.
-  struct InFlight {
-    std::promise<query::ServerResponse> promise;
-    std::shared_future<query::ServerResponse> future;
-  };
-  std::shared_ptr<InFlight> JoinOrRegister(const query::QueryKey& key,
-                                           bool* leader);
+  /// Registers `key` as in flight and returns true when no identical
+  /// computation is pending: the caller leads, enqueues the compute task
+  /// and later calls FinishInFlight. Otherwise attaches `follower` to
+  /// the pending computation and returns false.
+  bool JoinOrRegister(const query::QueryKey& key,
+                      const std::shared_ptr<Waiter>& follower);
 
-  /// Unregisters `key` (leader side, before fulfilling the promise).
-  void FinishInFlight(const query::QueryKey& key);
+  /// Unregisters `key` and hands back its followers (leader side,
+  /// before resolving anyone).
+  std::vector<std::shared_ptr<Waiter>> FinishInFlight(
+      const query::QueryKey& key);
   size_t in_flight() const;
 
   // --- Compute (worker-thread side) ---------------------------------------
@@ -132,7 +133,8 @@ class Shard {
   std::atomic<uint64_t> swept_generation_{0};
 
   mutable std::mutex inflight_mu_;
-  std::unordered_map<query::QueryKey, std::shared_ptr<InFlight>,
+  // key -> followers of the computation in flight under it.
+  std::unordered_map<query::QueryKey, std::vector<std::shared_ptr<Waiter>>,
                      query::QueryKeyHash>
       inflight_;
 };

@@ -1,10 +1,13 @@
 #include "transform/jl_transform.h"
 
+#include <algorithm>
 #include <cmath>
+#include <thread>
 
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace vkg::transform {
 
@@ -33,11 +36,7 @@ JlTransform::JlTransform(size_t input_dim, size_t output_dim, uint64_t seed)
   }
 }
 
-void JlTransform::Apply(std::span<const float> in,
-                        std::span<float> out) const {
-  VKG_CHECK(in.size() == input_dim_);
-  VKG_CHECK(out.size() == output_dim_);
-  ProjectionCounter().Inc();
+void JlTransform::Project(const float* in, float* out) const {
   for (size_t a = 0; a < output_dim_; ++a) {
     const float* row = matrix_.data() + a * input_dim_;
     double acc = 0.0;
@@ -46,6 +45,14 @@ void JlTransform::Apply(std::span<const float> in,
     }
     out[a] = static_cast<float>(acc);
   }
+}
+
+void JlTransform::Apply(std::span<const float> in,
+                        std::span<float> out) const {
+  VKG_CHECK(in.size() == input_dim_);
+  VKG_CHECK(out.size() == output_dim_);
+  ProjectionCounter().Inc();
+  Project(in.data(), out.data());
 }
 
 std::vector<float> JlTransform::Apply(std::span<const float> in) const {
@@ -59,10 +66,21 @@ std::vector<float> JlTransform::ApplyToEntities(
   VKG_CHECK(store.dim() == input_dim_);
   const size_t n = store.num_entities();
   std::vector<float> out(n * output_dim_);
-  for (size_t e = 0; e < n; ++e) {
-    Apply(store.Entity(static_cast<kg::EntityId>(e)),
-          {out.data() + e * output_dim_, output_dim_});
+  auto project_rows = [&](size_t /*shard*/, size_t begin, size_t end) {
+    for (size_t e = begin; e < end; ++e) {
+      Project(store.Entity(static_cast<kg::EntityId>(e)).data(),
+              out.data() + e * output_dim_);
+    }
+  };
+  const size_t threads =
+      std::min<size_t>(std::thread::hardware_concurrency(), 4);
+  if (n >= kParallelMinRows && threads > 1) {
+    util::ThreadPool pool(threads);
+    pool.ParallelShards(n, project_rows);
+  } else {
+    project_rows(0, 0, n);
   }
+  ProjectionCounter().Inc(n);
   return out;
 }
 

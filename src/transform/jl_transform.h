@@ -35,11 +35,21 @@ class JlTransform {
   std::vector<float> Apply(std::span<const float> in) const;
 
   /// Projects all entity vectors of `store`, returning a row-major
-  /// num_entities × output_dim array.
+  /// num_entities × output_dim array. Stores of at least
+  /// kParallelMinRows entities are split over up to four threads; each
+  /// row keeps Apply's summation order, so the result is bit-identical
+  /// to per-row Apply either way.
   std::vector<float> ApplyToEntities(
       const embedding::EmbeddingStore& store) const;
 
+  /// Below this many rows a bulk projection runs serially: starting a
+  /// thread costs more than its share of the rows.
+  static constexpr size_t kParallelMinRows = 4096;
+
  private:
+  /// Apply's arithmetic, without the projection counter.
+  void Project(const float* in, float* out) const;
+
   size_t input_dim_;
   size_t output_dim_;
   std::vector<float> matrix_;  // row-major alpha × d, pre-scaled

@@ -3,7 +3,10 @@
 // and pipeline caps answered with the admission layer's
 // Rejected{retry_after} shape, deterministic idle/slowloris timeouts
 // via an injected clock, EPIPE survival, goodbye and Stop() drains
-// that abandon nothing, and the vkg_net_* stats mirror.
+// that abandon nothing, the completion lifetimes of the single-hop
+// request path (inline cache hits, socket followers bounded by their
+// own deadline, late completions after a force-close), and the
+// vkg_net_* stats mirror.
 
 #include <gtest/gtest.h>
 
@@ -402,6 +405,91 @@ TEST_F(NetTest, RequestsDuringDrainGetShuttingDownError) {
                    util::StatusCode::kUnavailable);
   stopper.join();
   EXPECT_EQ(net->Stats().open, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Completion lifetimes of the single-hop path
+// ---------------------------------------------------------------------------
+
+TEST_F(NetTest, StopOutlivesLateCompletionAfterForceClose) {
+  NetServerConfig config;
+  config.drain_timeout_ms = 20.0;
+  auto net = StartNet(config);
+  ASSERT_TRUE(util::FailPointRegistry::Instance()
+                  .ConfigureSite("server.queue", "1*delay(300),off")
+                  .ok());
+  auto client = Connect(net->port());
+  query::ServerRequest request = TopKRequest(31);
+  request.bypass_cache = true;
+  const uint64_t computed_before = server_->Stats().computed_topk;
+  ASSERT_TRUE(client->Send(1, request).ok());
+  ASSERT_TRUE(WaitFor([&] { return net->Stats().requests == 1; }));
+  // The drain times out while the shard worker still stalls: the
+  // connection is force-closed, but Stop() returns only once the
+  // completion it submitted has run (and dropped its bytes).
+  net->Stop();
+  EXPECT_EQ(server_->Stats().computed_topk, computed_before + 1);
+  const NetStats stats = net->Stats();
+  net.reset();  // destroyed right after Stop(): nothing may call into it
+  server_->Drain();
+  EXPECT_EQ(stats.force_closed, 1u);
+  EXPECT_EQ(stats.responses, 0u);
+  EXPECT_EQ(stats.open, 0u);
+  uint64_t id = 0;
+  EXPECT_FALSE(client->Receive(&id).ok());
+}
+
+TEST_F(NetTest, SocketFollowerResolvesByItsOwnDeadline) {
+  auto net = StartNet({});
+  auto client = Connect(net->port());
+  ASSERT_TRUE(client->Ping().ok());
+  ASSERT_TRUE(util::FailPointRegistry::Instance()
+                  .ConfigureSite("server.queue", "1*delay(300),off")
+                  .ok());
+  const uint64_t expired_before = server_->Stats().expired_waiting;
+  query::ServerRequest request = TopKRequest(37);
+  request.bypass_cache = true;
+  // The leader holds its shard worker for 300 ms.
+  server::VkgServer::Ticket leader = server_->Submit(request);
+  query::ServerRequest follower = request;
+  follower.deadline_ms = 20.0;
+  const auto start = std::chrono::steady_clock::now();
+  auto got = client->Call(follower);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().status.code(), util::StatusCode::kDeadlineExceeded)
+      << got.value().status.ToString();
+  EXPECT_TRUE(got.value().meta.coalesced);
+  // 20 ms deadline + one 10 ms loop tick, plus scheduling slack for
+  // sanitizer builds; far below the leader's 300 ms.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(150));
+  // The leader's late result reaches the expired follower as a no-op:
+  // counted once, answered once.
+  EXPECT_TRUE(leader.Get().ok());
+  server_->Drain();
+  EXPECT_EQ(server_->Stats().expired_waiting, expired_before + 1);
+  net->Stop();
+  EXPECT_EQ(net->Stats().responses, 1u);
+}
+
+TEST_F(NetTest, CacheHitOverSocketDoesNoShardWork) {
+  auto net = StartNet({});
+  auto client = Connect(net->port());
+  ASSERT_TRUE(client->Call(TopKRequest(41)).ok());  // warms the cache
+  server_->Drain();
+  const server::ServerStats before = server_->Stats();
+  auto hit = client->Call(TopKRequest(41));
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  ASSERT_TRUE(hit.value().ok()) << hit.value().status.ToString();
+  EXPECT_TRUE(hit.value().meta.cache_hit);
+  const server::ServerStats after = server_->Stats();
+  EXPECT_EQ(after.computed_topk, before.computed_topk);
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  ASSERT_EQ(after.shards.size(), before.shards.size());
+  for (size_t s = 0; s < after.shards.size(); ++s) {
+    EXPECT_EQ(after.shards[s].depth, before.shards[s].depth);
+    EXPECT_EQ(after.shards[s].depth, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "server/admission.h"
+#include "util/failpoint.h"
 #include "util/lru_cache.h"
 #include "util/token_bucket.h"
 
@@ -312,6 +315,51 @@ TEST(TokenBucketPropertyTest, MatchesExactRefillArithmetic) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// AdmissionController with rate limiting disabled (the lock-free path)
+// ---------------------------------------------------------------------------
+
+TEST(AdmissionControllerTest, DisabledAdmitsEveryoneWithoutBuckets) {
+  server::AdmissionController admission(/*qps_limit=*/0.0, /*burst=*/0.0);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&admission, t] {
+      const std::string client = "client-" + std::to_string(t);
+      for (int i = 0; i < kPerThread; ++i) {
+        const auto d = admission.AdmitAt(client, 0.0);
+        EXPECT_TRUE(d.admitted);
+        EXPECT_EQ(d.retry_after_ms, 0.0);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(admission.admitted(), uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(admission.rejected(), 0u);
+  EXPECT_EQ(admission.num_clients(), 0u);  // no bucket is ever created
+}
+
+TEST(AdmissionControllerTest, DisabledPathStillHonorsAdmitFailpoint) {
+  server::AdmissionController admission(0.0, 0.0);
+  ASSERT_TRUE(FailPointRegistry::Instance()
+                  .ConfigureSite("server.admit", "2*fail,off")
+                  .ok());
+  std::vector<bool> admitted;
+  for (int i = 0; i < 5; ++i) {
+    const auto d = admission.AdmitAt("", 0.0);
+    admitted.push_back(d.admitted);
+    if (!d.admitted) {
+      EXPECT_EQ(d.retry_after_ms, 1.0);
+    }
+  }
+  FailPointRegistry::Instance().Clear();
+  EXPECT_EQ(admitted, (std::vector<bool>{false, false, true, true, true}));
+  EXPECT_EQ(admission.admitted(), 3u);
+  EXPECT_EQ(admission.rejected(), 2u);
+  EXPECT_EQ(admission.num_clients(), 0u);
 }
 
 }  // namespace

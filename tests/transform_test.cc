@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "embedding/vector_ops.h"
 #include "transform/jl_bounds.h"
@@ -71,6 +73,29 @@ TEST(JlTransformTest, ApplyToEntities) {
   auto single = t.Apply(store.Entity(3));
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(all[3 * 3 + i], single[i]);
+  }
+}
+
+// The bulk path (threaded at and above kParallelMinRows) must equal
+// per-row Apply bit for bit: for a row count no thread count divides,
+// and for one below the threshold (serial).
+TEST(JlTransformTest, ApplyToEntitiesBitIdenticalToPerRowApply) {
+  for (size_t n : {JlTransform::kParallelMinRows + 7, size_t{257}}) {
+    SCOPED_TRACE(n);
+    embedding::EmbeddingStore store(n, 1, 24);
+    util::Rng rng(11);
+    store.RandomInitialize(rng);
+    const embedding::EmbeddingStore& frozen = store;
+    JlTransform t(24, 3, 9);
+    const std::vector<float> all = t.ApplyToEntities(frozen);
+    ASSERT_EQ(all.size(), n * 3);
+    std::vector<float> want(n * 3);
+    for (size_t e = 0; e < n; ++e) {
+      t.Apply(frozen.Entity(static_cast<kg::EntityId>(e)),
+              {want.data() + e * 3, 3});
+    }
+    const size_t bytes = want.size() * sizeof(float);
+    EXPECT_EQ(std::memcmp(all.data(), want.data(), bytes), 0);
   }
 }
 

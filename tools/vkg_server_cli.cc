@@ -29,7 +29,6 @@
 //   --max-connections N          global connection cap (default 256)
 //   --max-connections-per-ip N   per-IP cap (default 0 = off)
 //   --max-pipeline N             in-flight requests per conn (def 64)
-//   --io-threads N               request-execution workers (default 2)
 //   --idle-timeout-ms MS         close silent connections (def 60000)
 //   --read-deadline-ms MS        slowloris kick for partial frames
 //   --write-deadline-ms MS       unread-response kick
@@ -378,7 +377,6 @@ int RunListen(const Flags& flags, server::VkgServer& srv) {
   config.max_connections = flags.GetSize("max-connections", 256);
   config.max_connections_per_ip =
       flags.GetSize("max-connections-per-ip", 0);
-  config.io_threads = flags.GetSize("io-threads", 2);
   config.max_pipeline = flags.GetSize("max-pipeline", 64);
   config.idle_timeout_ms = flags.GetDouble("idle-timeout-ms", 60000.0);
   config.read_deadline_ms = flags.GetDouble("read-deadline-ms", 5000.0);
