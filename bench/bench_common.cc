@@ -6,7 +6,6 @@
 #include <span>
 #include <thread>
 
-#include "index/bulk_rtree.h"
 #include "query/metrics.h"
 #include "util/string_util.h"
 #include "util/timer.h"

@@ -41,7 +41,7 @@ struct KernelMetrics {
 };
 
 /// The compiled-in kernel for a variant, or null when this build does
-/// not carry it (e.g. kNeon on x86, kSve everywhere for now).
+/// not carry it (e.g. kNeon on x86).
 RowKernel VariantKernel(KernelVariant v) {
   switch (v) {
     case KernelVariant::kPortable:
@@ -73,8 +73,6 @@ bool VariantRunnable(KernelVariant v) {
       return cpu.avx512f;
     case KernelVariant::kNeon:
       return cpu.neon;
-    case KernelVariant::kSve:
-      return false;  // probed but no kernel compiled yet
   }
   return false;
 }
@@ -85,7 +83,7 @@ KernelVariant ResolveVariant() {
     KernelVariant v;
     VKG_CHECK_MSG(KernelVariantFromName(forced, &v),
                   "VKG_KERNEL=%s is not a kernel variant "
-                  "(portable|avx2|avx512|neon|sve)",
+                  "(portable|avx2|avx512|neon)",
                   forced);
     VKG_CHECK_MSG(VariantRunnable(v),
                   "VKG_KERNEL=%s is not runnable here (cpu features: %s)",
@@ -192,16 +190,13 @@ std::string_view KernelVariantName(KernelVariant v) {
       return "avx512";
     case KernelVariant::kNeon:
       return "neon";
-    case KernelVariant::kSve:
-      return "sve";
   }
   return "unknown";
 }
 
 bool KernelVariantFromName(std::string_view name, KernelVariant* out) {
   for (KernelVariant v : {KernelVariant::kPortable, KernelVariant::kAvx2,
-                          KernelVariant::kAvx512, KernelVariant::kNeon,
-                          KernelVariant::kSve}) {
+                          KernelVariant::kAvx512, KernelVariant::kNeon}) {
     if (name == KernelVariantName(v)) {
       *out = v;
       return true;
@@ -213,8 +208,7 @@ bool KernelVariantFromName(std::string_view name, KernelVariant* out) {
 std::vector<KernelVariant> RunnableKernelVariants() {
   std::vector<KernelVariant> variants;
   for (KernelVariant v : {KernelVariant::kPortable, KernelVariant::kAvx2,
-                          KernelVariant::kAvx512, KernelVariant::kNeon,
-                          KernelVariant::kSve}) {
+                          KernelVariant::kAvx512, KernelVariant::kNeon}) {
     if (VariantRunnable(v)) variants.push_back(v);
   }
   return variants;

@@ -35,19 +35,15 @@ namespace vkg::embedding {
 /// to the row-major path. The vkg_kernel_rows_{soa,rowmajor,gather}_total
 /// counters record which path served each row.
 
-/// The kernel variants the dispatcher knows about. kSve is reserved
-/// scaffolding: probed (util::CpuInfo().sve) and nameable, but no SVE
-/// kernel is compiled yet, so forcing it fails like any other
-/// unavailable variant.
+/// The kernel variants the dispatcher knows about.
 enum class KernelVariant : uint8_t {
   kPortable = 0,
   kAvx2,
   kAvx512,
   kNeon,
-  kSve,
 };
 
-/// Stable lowercase name ("portable", "avx2", "avx512", "neon", "sve").
+/// Stable lowercase name ("portable", "avx2", "avx512", "neon").
 std::string_view KernelVariantName(KernelVariant v);
 
 /// Parses a VKG_KERNEL-style name. Returns false on unknown names.

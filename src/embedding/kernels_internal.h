@@ -76,9 +76,6 @@ double RowL2Avx512(const float* r, const float* q, size_t dim);
 #if defined(__aarch64__)
 #define VKG_KERNELS_NEON 1
 double RowL2Neon(const float* r, const float* q, size_t dim);
-// SVE scaffolding: a RowL2Sve with a vector-length-agnostic body slots
-// in here once a CI host can run it; the dispatcher already reserves
-// the variant name and probes HWCAP_SVE (util::CpuInfo().sve).
 #endif
 
 }  // namespace vkg::embedding::internal

@@ -210,20 +210,9 @@ void CrackingRTree::Crack(const Rect& query, util::QueryControl* control,
   const Node* old_root = root_.load(std::memory_order_relaxed);
   bool complete = true;
   std::vector<const Node*> retired;
-  const Node* new_root =
-      CrackCow(old_root, query, control, &complete, &retired);
-  if (new_root != old_root) {
-    // Version swap: the release store pairs with readers' acquire load
-    // of root_. Replaced nodes are unlinked from the published
-    // structure by this store and only then retired — the ordering the
-    // epoch scheme's safety argument requires.
-    root_.store(const_cast<Node*>(new_root), std::memory_order_release);
-    generation_.fetch_add(1, std::memory_order_release);
-    util::EpochManager& epoch = util::EpochManager::Global();
-    for (const Node* node : retired) {
-      epoch.RetireObject(const_cast<Node*>(node), NodeBytes(*node));
-    }
-  }
+  const Node* new_root = Refine(old_root, &query, control, /*shared=*/true,
+                                &complete, &retired);
+  Publish(old_root, new_root, retired);
   crack_publishes_.fetch_add(1, std::memory_order_relaxed);
   CrackMetrics::Get().publishes.Inc();
   span.SetAttr("outcome", "published");
@@ -250,23 +239,25 @@ bool CrackingRTree::WantsSplit(const Node& node, const Rect& query) const {
   return true;
 }
 
-const Node* CrackingRTree::CrackCow(const Node* node, const Rect& query,
-                                    util::QueryControl* control,
-                                    bool* complete,
-                                    std::vector<const Node*>* retired) {
+const Node* CrackingRTree::Refine(const Node* node, const Rect* query,
+                                  util::QueryControl* control, bool shared,
+                                  bool* complete,
+                                  std::vector<const Node*>* retired) {
+  if (query != nullptr && !node->mbr.Intersects(*query)) return node;
   switch (node->kind) {
+    case Node::Kind::kLeaf:
+      return node;
     case Node::Kind::kInternal: {
-      // Path copying: recurse into touched children; clone this node
-      // only when some child was replaced, sharing every untouched
-      // subtree with the previous version.
+      // Path copying: clone this node only when some child was
+      // replaced, sharing every untouched subtree with the previous
+      // version. Private children are refined in place and never
+      // replaced, so a private node is never cloned.
       std::vector<Node*> new_children;
       new_children.reserve(node->children.size());
       bool changed = false;
       for (Node* child : node->children) {
-        const Node* replacement = child;
-        if (child->mbr.Intersects(query)) {
-          replacement = CrackCow(child, query, control, complete, retired);
-        }
+        const Node* replacement =
+            Refine(child, query, control, shared, complete, retired);
         changed |= replacement != child;
         new_children.push_back(const_cast<Node*>(replacement));
       }
@@ -276,66 +267,47 @@ const Node* CrackingRTree::CrackCow(const Node* node, const Rect& query,
       retired->push_back(node);
       return clone;
     }
-    case Node::Kind::kLeaf:
-      return node;
     case Node::Kind::kPartition: {
-      if (!node->mbr.Intersects(query)) return node;
-      if (!WantsSplit(*node, query)) return node;
-      // Crack budget / deadline: refining stops here, the partition
-      // stays whole and later queries pick up where this one left off.
-      if (control != nullptr && !control->AllowCrack()) {
-        *complete = false;
-        return node;
-      }
-      Node* fresh = CloneHeader(*node);
-      if (!SplitPartitionCow(*node, fresh, &query, control)) {
-        delete fresh;
-        *complete = false;
-        return node;
-      }
-      // The replacement subtree is private until the version swap, so
-      // deeper refinement mutates it in place.
-      for (Node* child : fresh->children) {
-        if (child->mbr.Intersects(query)) {
-          *complete &= CrackPrivate(child, query, control);
+      if (query != nullptr) {
+        if (!WantsSplit(*node, *query)) return node;
+        // Crack budget / deadline: refining stops here, the partition
+        // stays whole and later queries pick up where this one left off.
+        if (control != nullptr && !control->AllowCrack()) {
+          *complete = false;
+          return node;
         }
       }
-      retired->push_back(node);
-      return fresh;
+      // A published partition is split onto a private replacement; one
+      // this walk built is still unpublished and splits in place.
+      Node* dest = shared ? CloneHeader(*node) : const_cast<Node*>(node);
+      if (!SplitPartitionCow(*node, dest, query, control)) {
+        if (shared) delete dest;
+        *complete = false;
+        return node;
+      }
+      for (Node* child : dest->children) {
+        Refine(child, query, control, /*shared=*/false, complete, retired);
+      }
+      if (shared) retired->push_back(node);
+      return dest;
     }
   }
   return node;
 }
 
-bool CrackingRTree::CrackPrivate(Node* node, const Rect& query,
-                                 util::QueryControl* control) {
-  switch (node->kind) {
-    case Node::Kind::kInternal: {
-      bool complete = true;
-      for (Node* child : node->children) {
-        if (child->mbr.Intersects(query)) {
-          complete &= CrackPrivate(child, query, control);
-        }
-      }
-      return complete;
-    }
-    case Node::Kind::kLeaf:
-      return true;
-    case Node::Kind::kPartition: {
-      if (!node->mbr.Intersects(query)) return true;
-      if (!WantsSplit(*node, query)) return true;
-      if (control != nullptr && !control->AllowCrack()) return false;
-      if (!SplitPartitionCow(*node, node, &query, control)) return false;
-      bool complete = true;
-      for (Node* child : node->children) {
-        if (child->mbr.Intersects(query)) {
-          complete &= CrackPrivate(child, query, control);
-        }
-      }
-      return complete;
-    }
+void CrackingRTree::Publish(const Node* old_root, const Node* new_root,
+                            const std::vector<const Node*>& retired) {
+  if (new_root == old_root) return;
+  // Version swap: the release store pairs with readers' acquire load of
+  // root_. Replaced nodes are unlinked from the published structure by
+  // this store and only then retired — the ordering the epoch scheme's
+  // safety argument requires.
+  root_.store(const_cast<Node*>(new_root), std::memory_order_release);
+  generation_.fetch_add(1, std::memory_order_release);
+  util::EpochManager& epoch = util::EpochManager::Global();
+  for (const Node* node : retired) {
+    epoch.RetireObject(const_cast<Node*>(node), NodeBytes(*node));
   }
-  return true;
 }
 
 bool CrackingRTree::SplitPartitionCow(const Node& source, Node* dest,
@@ -401,93 +373,29 @@ void CrackingRTree::BuildFull() {
   if (points_->empty()) return;
   EnsureOrders();
   std::lock_guard<std::mutex> lock(crack_mu_);
+  // The bulk load is a crack of the whole space (no query region, no
+  // control) without stopping conditions: every partition splits with
+  // the classic cost.
   const Node* old_root = root_.load(std::memory_order_relaxed);
+  bool complete = true;
   std::vector<const Node*> retired;
-  const Node* new_root = BuildFullCow(old_root, &retired);
-  if (new_root == old_root) return;
-  root_.store(const_cast<Node*>(new_root), std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_release);
-  util::EpochManager& epoch = util::EpochManager::Global();
-  for (const Node* node : retired) {
-    epoch.RetireObject(const_cast<Node*>(node), NodeBytes(*node));
-  }
-}
-
-const Node* CrackingRTree::BuildFullCow(const Node* node,
-                                        std::vector<const Node*>* retired) {
-  switch (node->kind) {
-    case Node::Kind::kLeaf:
-      return node;
-    case Node::Kind::kInternal: {
-      std::vector<Node*> new_children;
-      new_children.reserve(node->children.size());
-      bool changed = false;
-      for (Node* child : node->children) {
-        const Node* replacement = BuildFullCow(child, retired);
-        changed |= replacement != child;
-        new_children.push_back(const_cast<Node*>(replacement));
-      }
-      if (!changed) return node;
-      Node* clone = CloneHeader(*node);
-      clone->children = std::move(new_children);
-      retired->push_back(node);
-      return clone;
-    }
-    case Node::Kind::kPartition: {
-      Node* fresh = CloneHeader(*node);
-      if (!SplitPartitionCow(*node, fresh, nullptr)) {
-        delete fresh;
-        return node;
-      }
-      for (Node* child : fresh->children) BuildFullPrivate(child);
-      retired->push_back(node);
-      return fresh;
-    }
-  }
-  return node;
-}
-
-void CrackingRTree::BuildFullPrivate(Node* node) {
-  if (node->kind != Node::Kind::kPartition) return;
-  if (!SplitPartitionCow(*node, node, nullptr)) return;
-  for (Node* child : node->children) BuildFullPrivate(child);
+  const Node* new_root =
+      Refine(old_root, nullptr, nullptr, /*shared=*/true, &complete, &retired);
+  Publish(old_root, new_root, retired);
 }
 
 void CrackingRTree::Search(const Rect& region,
                            const std::function<void(uint32_t)>& fn) const {
-  if (points_->empty()) return;
-  ReadPin pin = PinForRead();
-  // Iterative DFS over one version; contour elements scan their points.
-  std::vector<const Node*> stack{&root()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!node->mbr.Intersects(region)) continue;
-    if (node->kind == Node::Kind::kInternal) {
-      for (const Node* child : node->children) stack.push_back(child);
-      continue;
-    }
-    for (uint32_t id : ElementIds(*node)) {
+  ForEachContour(region, [&](const Node& node) {
+    for (uint32_t id : ElementIds(node)) {
       if (region.Contains(points_->at(id))) fn(id);
     }
-  }
+  });
 }
 
 void CrackingRTree::VisitContour(
     const Rect& region, const std::function<void(const Node&)>& fn) const {
-  if (points_->empty()) return;
-  ReadPin pin = PinForRead();
-  std::vector<const Node*> stack{&root()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (!node->mbr.Intersects(region)) continue;
-    if (node->kind == Node::Kind::kInternal) {
-      for (const Node* child : node->children) stack.push_back(child);
-      continue;
-    }
-    fn(*node);
-  }
+  ForEachContour(region, fn);
 }
 
 const Node* CrackingRTree::ProbeSmallest(std::span<const float> q) const {

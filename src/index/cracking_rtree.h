@@ -72,7 +72,7 @@ struct IndexStats {
 /// with config.split_choices > 1 — the A* search over the top-k split
 /// choices (TOP-KSPLITSINDEXBUILD, Algorithm 2). Calling BuildFull()
 /// instead performs the offline bulk load of Algorithm 1, which is the
-/// paper's bulk-loaded baseline; both share all machinery.
+/// paper's bulk-loaded baseline; both run the same refinement walk.
 class CrackingRTree {
  public:
   /// RAII epoch pin for a read phase. Re-entrant per thread (nested
@@ -202,20 +202,25 @@ class CrackingRTree {
   /// Caller holds crack_mu_.
   void NotePublishedCrack(const Rect& query);
 
-  /// Copy-on-write crack of the published subtree at `node`. Returns
-  /// the replacement node (== `node` when the subtree was untouched);
-  /// replaced nodes are appended to `retired` for epoch retirement
-  /// after the version swap. Sets *complete = false when any split was
-  /// skipped (budget, deadline, or failpoint) and re-cracking the same
-  /// region could still make progress.
-  const Node* CrackCow(const Node* node, const Rect& query,
-                       util::QueryControl* control, bool* complete,
-                       std::vector<const Node*>* retired);
-  /// Cracks a subtree built privately by this crack (unpublished, so
-  /// mutation in place is safe). Same return convention as the old
-  /// in-place crack: true when refined to its stopping conditions.
-  bool CrackPrivate(Node* node, const Rect& query,
-                    util::QueryControl* control);
+  /// The one refinement walk behind Crack and BuildFull. Splits the
+  /// partitions of the subtree at `node` that `query` touches, subject
+  /// to the stopping conditions and `control`'s crack budget; `query` ==
+  /// nullptr is the bulk load: every partition splits with the classic
+  /// cost and no stopping condition. A `shared` node (reachable from the
+  /// published root) is never mutated: the walk path-copies it, appends
+  /// it to `retired` and returns the replacement (== `node` when the
+  /// subtree was untouched). Nodes this walk built are private and split
+  /// in place. Sets *complete = false when any split was skipped
+  /// (budget, deadline, or failpoint) and re-cracking the same region
+  /// could still make progress.
+  const Node* Refine(const Node* node, const Rect* query,
+                     util::QueryControl* control, bool shared, bool* complete,
+                     std::vector<const Node*>* retired);
+  /// Swaps the published version to `new_root` (no-op when it equals
+  /// `old_root`), bumps the crack generation, and only then retires the
+  /// replaced nodes. Caller holds crack_mu_.
+  void Publish(const Node* old_root, const Node* new_root,
+               const std::vector<const Node*>& retired);
   /// Chunks contour element `source` into children written onto `dest`
   /// (one level of BULKLOADCHUNK) via a detached copy of the element's
   /// ids; children own their id blocks. `dest` must carry source's
@@ -223,14 +228,29 @@ class CrackingRTree {
   /// nullptr uses the classic cost. Returns false when the split was
   /// abandoned (cracking.split failpoint) — `dest` is left unchanged.
   bool SplitPartitionCow(const Node& source, Node* dest, const Rect* query,
-                         util::QueryControl* control = nullptr);
-  /// Copy-on-write bulk load of the subtree at `node` (BuildFull).
-  const Node* BuildFullCow(const Node* node,
-                           std::vector<const Node*>* retired);
-  void BuildFullPrivate(Node* node);
+                         util::QueryControl* control);
   /// True when the stopping conditions of Section IV-C step 3 say
   /// contour element `node` should be split for `query`.
   bool WantsSplit(const Node& node, const Rect& query) const;
+  /// Invokes `fn(node)` for every contour element whose MBR intersects
+  /// `region`, over one pinned version. Shared by Search and
+  /// VisitContour; a template so Search's per-element body inlines.
+  template <typename Fn>
+  void ForEachContour(const Rect& region, Fn&& fn) const {
+    if (points_->empty()) return;
+    ReadPin pin = PinForRead();
+    std::vector<const Node*> stack{&root()};
+    while (!stack.empty()) {
+      const Node* node = stack.back();
+      stack.pop_back();
+      if (!node->mbr.Intersects(region)) continue;
+      if (node->kind == Node::Kind::kInternal) {
+        for (const Node* child : node->children) stack.push_back(child);
+        continue;
+      }
+      fn(*node);
+    }
+  }
 
   const PointSet* points_;
   RTreeConfig config_;

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <span>
 #include <utility>
@@ -22,9 +21,8 @@ namespace vkg::index {
 ///
 /// Distances are evaluated through the blocked kernels in
 /// embedding/batch_kernels.h (bit-identical to the scalar kernel), and
-/// the skip predicate is a template parameter on the hot path so the
-/// per-entity test inlines instead of going through std::function
-/// dispatch; the std::function overloads below are thin wrappers.
+/// the skip predicate is a template parameter so the per-entity test
+/// inlines instead of going through std::function dispatch.
 class LinearScan {
  public:
   /// `store` must outlive the scanner.
@@ -78,41 +76,6 @@ class LinearScan {
     std::reverse(out.begin(), out.end());
     return out;
   }
-
-  /// Invokes fn(id, distance) for every entity within `radius` of `q`.
-  /// `control` behaves as in TopK (block-granular early stop).
-  template <typename Fn, typename Skip>
-  void Ball(std::span<const float> q, double radius, Fn&& fn, Skip&& skip,
-            util::QueryControl* control = nullptr) const {
-    const double r2 = radius * radius;
-    const size_t n = store_->num_entities();
-    double dist[kBlock];
-    for (size_t base = 0; base < n; base += kBlock) {
-      const size_t len = std::min(kBlock, n - base);
-      embedding::BatchL2DistanceSquared(q, *store_,
-                                        static_cast<uint32_t>(base), len,
-                                        dist);
-      for (size_t i = 0; i < len; ++i) {
-        const uint32_t e = static_cast<uint32_t>(base + i);
-        if (skip(e)) continue;
-        if (dist[i] <= r2) fn(e, std::sqrt(dist[i]));
-      }
-      if (control != nullptr) {
-        control->AddPoints(len);
-        if (control->ShouldStop()) break;
-      }
-    }
-  }
-
-  // std::function wrappers (the original interface).
-  std::vector<std::pair<double, uint32_t>> TopK(
-      std::span<const float> q, size_t k,
-      const std::function<bool(uint32_t)>& skip = nullptr,
-      util::QueryControl* control = nullptr) const;
-  void Ball(std::span<const float> q, double radius,
-            const std::function<void(uint32_t, double)>& fn,
-            const std::function<bool(uint32_t)>& skip = nullptr,
-            util::QueryControl* control = nullptr) const;
 
   size_t size() const { return store_->num_entities(); }
 

@@ -1,12 +1,5 @@
 #include "util/cpu.h"
 
-#if defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_SVE
-#define HWCAP_SVE (1 << 22)  // linux/arch/arm64/include/uapi/asm/hwcap.h
-#endif
-#endif
-
 namespace vkg::util {
 
 namespace {
@@ -19,9 +12,6 @@ CpuFeatures Probe() {
   f.avx512f = __builtin_cpu_supports("avx512f");
 #elif defined(__aarch64__)
   f.neon = true;  // ASIMD is mandatory in AArch64.
-#if defined(__linux__)
-  f.sve = (getauxval(AT_HWCAP) & HWCAP_SVE) != 0;
-#endif
 #endif
   return f;
 }
@@ -44,7 +34,6 @@ std::string CpuFeatureString() {
   if (f.fma) add("fma");
   if (f.avx512f) add("avx512f");
   if (f.neon) add("neon");
-  if (f.sve) add("sve");
   if (out.empty()) out = "none";
   return out;
 }

@@ -9,8 +9,7 @@ namespace vkg::util {
 /// embedding/batch_kernels.* (the easel esl_cpu discipline: probe once,
 /// dispatch per process). On x86-64 the flags come from
 /// __builtin_cpu_supports; on arm64 NEON (ASIMD) is architecturally
-/// mandatory so it is always true, and SVE is read from the Linux
-/// auxiliary vector when available. Unknown architectures report
+/// mandatory so it is always true. Unknown architectures report
 /// everything false and the portable kernel runs.
 struct CpuFeatures {
   // x86-64
@@ -19,7 +18,6 @@ struct CpuFeatures {
   bool avx512f = false;
   // arm64
   bool neon = false;
-  bool sve = false;
 };
 
 /// The process-wide probe result (computed once, then cached).

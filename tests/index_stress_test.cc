@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <set>
 
-#include "index/bulk_rtree.h"
 #include "index/cracking_rtree.h"
 #include "util/random.h"
 

@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <set>
 
-#include "index/bulk_rtree.h"
+#include "index/cracking_rtree.h"
 #include "util/random.h"
 
 namespace vkg::index {
@@ -65,9 +65,10 @@ TEST_P(BulkRTreeTest, StructureIsValid) {
   RTreeConfig config;
   config.leaf_capacity = p.leaf_capacity;
   config.fanout = p.fanout;
-  BulkRTree tree(&ps, config);
-  const Node& root = tree.tree().root();
-  CheckSubtree(tree.tree(), root, config);
+  CrackingRTree tree(&ps, config);
+  tree.BuildFull();
+  const Node& root = tree.root();
+  CheckSubtree(tree, root, config);
   // Full build: no unsplit partitions remain.
   IndexStats stats = tree.Stats();
   EXPECT_EQ(stats.partitions, 0u);
@@ -90,7 +91,8 @@ TEST_P(BulkRTreeTest, RangeSearchMatchesBruteForce) {
   RTreeConfig config;
   config.leaf_capacity = p.leaf_capacity;
   config.fanout = p.fanout;
-  BulkRTree tree(&ps, config);
+  CrackingRTree tree(&ps, config);
+  tree.BuildFull();
 
   util::Rng rng(p.seed + 2);
   for (int trial = 0; trial < 10; ++trial) {
@@ -137,8 +139,9 @@ TEST(BulkRTreeEdgeTest, RStarSplitHeuristicIsEquivalentlyCorrect) {
   config.leaf_capacity = 16;
   config.fanout = 8;
   config.split_algorithm = SplitAlgorithm::kRStar;
-  BulkRTree tree(&ps, config);
-  CheckSubtree(tree.tree(), tree.tree().root(), config);
+  CrackingRTree tree(&ps, config);
+  tree.BuildFull();
+  CheckSubtree(tree, tree.root(), config);
   EXPECT_EQ(tree.Stats().partitions, 0u);
 
   util::Rng rng(43);
@@ -184,7 +187,8 @@ TEST(BulkRTreeEdgeTest, RStarCrackingAlsoCorrect) {
 
 TEST(BulkRTreeEdgeTest, EmptyPointSet) {
   PointSet ps({}, 2);
-  BulkRTree tree(&ps, RTreeConfig{});
+  CrackingRTree tree(&ps, RTreeConfig{});
+  tree.BuildFull();
   size_t count = 0;
   Rect all = Rect::Empty(2);
   all.ExpandToFit(std::vector<float>{-10, -10});
@@ -199,7 +203,8 @@ TEST(BulkRTreeEdgeTest, AllIdenticalPoints) {
   RTreeConfig config;
   config.leaf_capacity = 8;
   config.fanout = 4;
-  BulkRTree tree(&ps, config);
+  CrackingRTree tree(&ps, config);
+  tree.BuildFull();
   size_t count = 0;
   Rect hit = Rect::Empty(2);
   hit.ExpandToFit(std::vector<float>{0.4f, 0.4f});
@@ -213,7 +218,8 @@ TEST(BulkRTreeEdgeTest, ProbeSmallestFindsContainingLeaf) {
   RTreeConfig config;
   config.leaf_capacity = 16;
   config.fanout = 4;
-  BulkRTree tree(&ps, config);
+  CrackingRTree tree(&ps, config);
+  tree.BuildFull();
   for (uint32_t i = 0; i < 20; ++i) {
     const Node* node = tree.ProbeSmallest(ps.at(i));
     ASSERT_NE(node, nullptr);
@@ -229,7 +235,8 @@ TEST(BulkRTreeEdgeTest, StatsAreConsistent) {
   RTreeConfig config;
   config.leaf_capacity = 32;
   config.fanout = 8;
-  BulkRTree tree(&ps, config);
+  CrackingRTree tree(&ps, config);
+  tree.BuildFull();
   IndexStats s = tree.Stats();
   EXPECT_EQ(s.num_nodes, s.internals + s.leaves + s.partitions);
   EXPECT_GT(s.binary_splits, 0u);
