@@ -123,23 +123,22 @@ util::Status VirtualKnowledgeGraph::Initialize() {
       topk_engine_ = std::make_unique<query::H2AlshTopKEngine>(
           graph_, &store_, options_.h2alsh);
       break;
-    case MethodKind::kBulkRTree:
-      topk_engine_ = std::make_unique<query::RTreeTopKEngine>(
-          graph_, &store_, jl_.get(), rtree_.get(), options_.eps,
-          /*crack_after_query=*/false, index::MethodName(options_.method));
-      break;
-    default:  // cracking variants
-      topk_engine_ = std::make_unique<query::RTreeTopKEngine>(
-          graph_, &store_, jl_.get(), rtree_.get(), options_.eps,
-          /*crack_after_query=*/true, index::MethodName(options_.method));
+    default:  // R-tree methods: BindEngines builds them over rtree_
       break;
   }
-
-  aggregate_engine_ = std::make_unique<query::AggregateEngine>(
-      graph_, &store_, jl_.get(), rtree_.get(), options_.eps,
-      /*crack_after_query=*/index::UsesRTree(options_.method) &&
-          options_.method != MethodKind::kBulkRTree);
+  BindEngines();
   return util::Status::OK();
+}
+
+void VirtualKnowledgeGraph::BindEngines() {
+  const bool crack = index::CracksOnline(options_.method);
+  if (index::UsesRTree(options_.method)) {
+    topk_engine_ = std::make_unique<query::RTreeTopKEngine>(
+        graph_, &store_, jl_.get(), rtree_.get(), options_.eps, crack,
+        index::MethodName(options_.method));
+  }
+  aggregate_engine_ = std::make_unique<query::AggregateEngine>(
+      graph_, &store_, jl_.get(), rtree_.get(), options_.eps, crack);
 }
 
 query::TopKResult VirtualKnowledgeGraph::TopKTails(kg::EntityId h,
@@ -263,10 +262,7 @@ VirtualKnowledgeGraph::Neighborhood(const data::Query& query,
   if (max_results > 0 && hits.size() > max_results) {
     hits.resize(max_results);
   }
-  if (index::UsesRTree(options_.method) &&
-      options_.method != index::MethodKind::kBulkRTree) {
-    rtree_->Crack(region);
-  }
+  if (index::CracksOnline(options_.method)) rtree_->Crack(region);
   return hits;
 }
 
@@ -351,18 +347,7 @@ util::Status VirtualKnowledgeGraph::LoadIndex(const std::string& path) {
   VKG_ASSIGN_OR_RETURN(std::unique_ptr<index::CrackingRTree> loaded,
                        index::CrackingRTree::Load(path, points_s2_.get()));
   rtree_ = std::move(loaded);
-  // Rebind the engines that hold the tree pointer.
-  using index::MethodKind;
-  if (index::UsesRTree(options_.method)) {
-    topk_engine_ = std::make_unique<query::RTreeTopKEngine>(
-        graph_, &store_, jl_.get(), rtree_.get(), options_.eps,
-        /*crack_after_query=*/options_.method != MethodKind::kBulkRTree,
-        index::MethodName(options_.method));
-  }
-  aggregate_engine_ = std::make_unique<query::AggregateEngine>(
-      graph_, &store_, jl_.get(), rtree_.get(), options_.eps,
-      index::UsesRTree(options_.method) &&
-          options_.method != MethodKind::kBulkRTree);
+  BindEngines();
   return util::Status::OK();
 }
 

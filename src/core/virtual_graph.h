@@ -193,6 +193,11 @@ class VirtualKnowledgeGraph {
 
   util::Status Initialize();
 
+  /// (Re)builds the engines that hold rtree_: the R-tree top-k engine
+  /// (R-tree methods only) and the aggregate engine, cracking online iff
+  /// index::CracksOnline(options_.method).
+  void BindEngines();
+
   /// The lazily constructed batch-query pool; nullptr when
   /// options_.query_threads < 2 (sequential batches).
   util::ThreadPool* QueryPool();

@@ -1,5 +1,7 @@
 #include "index/factory.h"
 
+#include <string>
+
 namespace vkg::index {
 
 std::string_view MethodName(MethodKind kind) {
@@ -22,6 +24,15 @@ std::string_view MethodName(MethodKind kind) {
       return "h2-alsh";
   }
   return "unknown";
+}
+
+util::Result<MethodKind> ParseMethod(std::string_view name) {
+  for (int k = 0; k <= static_cast<int>(MethodKind::kH2Alsh); ++k) {
+    const auto kind = static_cast<MethodKind>(k);
+    if (MethodName(kind) == name) return kind;
+  }
+  return util::Status::InvalidArgument("unknown method: " +
+                                       std::string(name));
 }
 
 size_t SplitChoicesFor(MethodKind kind) {
@@ -50,6 +61,10 @@ bool UsesRTree(MethodKind kind) {
     default:
       return false;
   }
+}
+
+bool CracksOnline(MethodKind kind) {
+  return UsesRTree(kind) && kind != MethodKind::kBulkRTree;
 }
 
 }  // namespace vkg::index

@@ -3,6 +3,8 @@
 
 #include <string_view>
 
+#include "util/status.h"
+
 namespace vkg::index {
 
 /// The query-processing methods compared in the paper's experiments.
@@ -14,11 +16,14 @@ enum class MethodKind {
   kCracking2,   // TOP-KSPLITSINDEXBUILD, 2 split choices
   kCracking3,   // TOP-KSPLITSINDEXBUILD, 3 split choices
   kCracking4,   // TOP-KSPLITSINDEXBUILD, 4 split choices
-  kH2Alsh,      // H2-ALSH baseline (single relationship type)
+  kH2Alsh,      // H2-ALSH baseline (single relationship type); stays last
 };
 
 /// Human-readable method label (matches the figures' legends).
 std::string_view MethodName(MethodKind kind);
+
+/// Inverse of MethodName; InvalidArgument for any other name.
+util::Result<MethodKind> ParseMethod(std::string_view name);
 
 /// Number of split choices k for the cracking variants (1 for the greedy
 /// method; 0 for non-cracking methods).
@@ -26,6 +31,10 @@ size_t SplitChoicesFor(MethodKind kind);
 
 /// True for the methods that build the S2 cracking/bulk R-tree.
 bool UsesRTree(MethodKind kind);
+
+/// True for the R-tree methods whose queries crack the tree online (every
+/// R-tree method but the offline bulk load).
+bool CracksOnline(MethodKind kind);
 
 }  // namespace vkg::index
 

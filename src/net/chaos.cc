@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -43,44 +42,6 @@ std::string RandomSchedule(util::Rng& rng, double max_delay_ms) {
   }
   spec += "off";
   return spec;
-}
-
-struct Oracle {
-  query::TopKResult topk;
-  double aggregate_value = 0.0;
-  bool aggregate_exact = false;
-  bool is_aggregate = false;
-  bool valid = false;
-};
-
-bool MatchesOracle(const query::ServerResponse& got, const Oracle& want) {
-  if (want.is_aggregate) {
-    if (!got.aggregate.quality.exact || !want.aggregate_exact) return true;
-    const double tol =
-        1e-9 * std::max(1.0, std::abs(want.aggregate_value));
-    if (std::abs(got.aggregate.value - want.aggregate_value) > tol) {
-      std::fprintf(stderr,
-                   "net chaos mismatch: aggregate got=%.12f want=%.12f\n",
-                   got.aggregate.value, want.aggregate_value);
-      return false;
-    }
-    return true;
-  }
-  if (!got.topk.quality.exact || !want.topk.quality.exact) return true;
-  if (got.topk.hits.size() != want.topk.hits.size()) {
-    std::fprintf(stderr, "net chaos mismatch: topk size got=%zu want=%zu\n",
-                 got.topk.hits.size(), want.topk.hits.size());
-    return false;
-  }
-  for (size_t h = 0; h < got.topk.hits.size(); ++h) {
-    if (got.topk.hits[h].entity != want.topk.hits[h].entity ||
-        std::abs(got.topk.hits[h].distance - want.topk.hits[h].distance) >
-            1e-9) {
-      std::fprintf(stderr, "net chaos mismatch: topk hit %zu differs\n", h);
-      return false;
-    }
-  }
-  return true;
 }
 
 /// One hostile byte sequence, seeded. Every variant must end with the
@@ -190,24 +151,8 @@ NetChaosReport RunNetChaosCampaign(
   client_config.call_timeout_ms = 10000.0;
 
   // --- Oracle pass (in-process, fault-free) -------------------------------
-  std::vector<Oracle> oracle(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    query::ServerRequest req = slots[i];
-    req.deadline_ms = 0.0;
-    req.budget = util::ResourceBudget{};
-    req.bypass_cache = true;
-    req.priority = 1;
-    query::ServerResponse r = server.Execute(std::move(req));
-    if (!r.ok()) continue;
-    oracle[i].valid = true;
-    if (slots[i].kind == query::RequestKind::kAggregate) {
-      oracle[i].is_aggregate = true;
-      oracle[i].aggregate_value = r.aggregate.value;
-      oracle[i].aggregate_exact = r.aggregate.quality.exact;
-    } else {
-      oracle[i].topk = r.topk;
-    }
-  }
+  const std::vector<server::ChaosOracle> oracle =
+      server::BuildChaosOracle(server, slots);
 
   std::atomic<size_t> submitted{0};
   std::atomic<size_t> resolved{0};
@@ -228,7 +173,7 @@ NetChaosReport RunNetChaosCampaign(
       if (response.ok()) {
         count_ok.fetch_add(1, std::memory_order_relaxed);
         if (slot < oracle.size() && oracle[slot].valid &&
-            !MatchesOracle(response, oracle[slot])) {
+            !server::MatchesOracle(response, oracle[slot])) {
           count_mismatch.fetch_add(1, std::memory_order_relaxed);
         }
         return;

@@ -3,14 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "embedding/batch_kernels.h"
 #include "embedding/vector_ops.h"
 #include "obs/metrics.h"
+#include "query/contour_walk.h"
 #include "query/prob_model.h"
-#include "transform/jl_bounds.h"
 #include "query/topk_engine.h"
+#include "transform/jl_bounds.h"
 #include "util/check.h"
 
 namespace vkg::query {
@@ -37,6 +37,26 @@ struct AggMetrics {
     return *metrics;
   }
 };
+
+// Fetches the attribute value of `id`, or NaN for COUNT (value unused).
+double AttributeValue(const kg::KnowledgeGraph& graph, AggKind kind,
+                      const std::string& attribute, uint32_t id) {
+  if (kind == AggKind::kCount) return 1.0;
+  return graph.attributes().Value(attribute, id);
+}
+
+util::Status ValidateSpec(const kg::KnowledgeGraph& graph,
+                          const AggregateSpec& spec) {
+  if (spec.prob_threshold <= 0.0 || spec.prob_threshold > 1.0) {
+    return util::Status::InvalidArgument(
+        "prob_threshold must be in (0, 1]");
+  }
+  if (spec.kind != AggKind::kCount &&
+      !graph.attributes().Has(spec.attribute)) {
+    return util::Status::NotFound("unknown attribute: " + spec.attribute);
+  }
+  return util::Status::OK();
+}
 
 }  // namespace
 
@@ -66,35 +86,7 @@ AggregateEngine::AggregateEngine(const kg::KnowledgeGraph* graph,
       jl_(jl),
       tree_(tree),
       eps_(eps),
-      crack_after_query_(crack_after_query) {
-  top1_ = std::make_unique<RTreeTopKEngine>(graph_, store_, jl_, tree_, eps_,
-                                            /*crack_after_query=*/false,
-                                            "agg-top1");
-}
-
-namespace {
-
-// Fetches the attribute value of `id`, or NaN for COUNT (value unused).
-double AttributeValue(const kg::KnowledgeGraph& graph, AggKind kind,
-                      const std::string& attribute, uint32_t id) {
-  if (kind == AggKind::kCount) return 1.0;
-  return graph.attributes().Value(attribute, id);
-}
-
-util::Status ValidateSpec(const kg::KnowledgeGraph& graph,
-                          const AggregateSpec& spec) {
-  if (spec.prob_threshold <= 0.0 || spec.prob_threshold > 1.0) {
-    return util::Status::InvalidArgument(
-        "prob_threshold must be in (0, 1]");
-  }
-  if (spec.kind != AggKind::kCount &&
-      !graph.attributes().Has(spec.attribute)) {
-    return util::Status::NotFound("unknown attribute: " + spec.attribute);
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
+      crack_after_query_(crack_after_query) {}
 
 util::Result<AggregateResult> AggregateEngine::Aggregate(
     const AggregateSpec& spec, QueryContext& ctx) const {
@@ -105,50 +97,53 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
   span.SetAttr("kind", AggKindName(spec.kind));
   AggMetrics::Get().queries.Inc();
   util::QueryControl& control = ctx.control();
+  util::Arena& arena = ctx.arena();
+  arena.Reset();
   const auto skip = MakeSkipFn(*graph_, spec.query);
+  const ProjectedQuery q = ProjectQuery(*store_, *jl_, spec.query, ctx);
+  const std::span<const float> q_s2 = q.s2.AsSpan();
 
-  // d_min via a top-1 probe (shares Algorithm 3 machinery; no cracking —
-  // the aggregate's own final region cracks below). The probe shares
-  // ctx's control block, so its work draws down the same budget and a
-  // stop tripped here degrades the rest of the aggregate too. It also
-  // Reset()s ctx's arena on entry, so the aggregate allocates its own
-  // arena scratch only after the probe returns.
-  TopKResult nearest = top1_->TopKQuery(spec.query, 1, ctx);
-  if (nearest.hits.empty()) {
-    AggregateResult empty;
+  // The read phase runs under one epoch pin (no locks, DESIGN.md §6f):
+  // Node pointers in the frontier and ElementIds() spans reference
+  // immutable version nodes that the pin keeps allocated. The d_min
+  // probe's own pin nests inside it.
+  index::CrackingRTree::ReadPin pin = tree_->PinForRead();
+
+  // d_min via Algorithm 3's core at k = 1 (no cracking — the aggregate's
+  // own final region cracks below). It shares ctx's control block, so
+  // its work draws down the same budget and a stop tripped here
+  // degrades the rest of the aggregate too.
+  double top1_radius = 0.0;
+  TopKResult nearest =
+      FindTopK(*tree_, *store_, q, 1, eps_, skip, ctx, &top1_radius);
+  // Labels an answer degraded when the query stopped, and records it.
+  auto finish = [&](AggregateResult result) {
     if (control.stopped()) {
-      empty.quality.exact = false;
-      empty.quality.stop_reason = control.stop_reason();
+      result.quality.exact = false;
+      result.quality.stop_reason = control.stop_reason();
       AggMetrics::Get().degraded.Inc();
       span.SetAttr("stop_reason",
-                   util::StopReasonName(empty.quality.stop_reason));
+                   util::StopReasonName(result.quality.stop_reason));
     }
-    return empty;
-  }
-  util::Arena& arena = ctx.arena();
-  arena.Reset();  // reclaim the probe's scratch
-  std::span<float> q_s1 = arena.AllocateSpan<float>(store_->dim());
-  store_->QueryCenterInto(spec.query.anchor, spec.query.relation,
-                          spec.query.direction, q_s1);
-  index::Point q_s2 = [&] {
-    std::span<float> q_alpha = arena.AllocateSpan<float>(jl_->output_dim());
-    jl_->Apply(q_s1, q_alpha);
-    return index::Point::FromSpan(q_alpha);
-  }();
+    AggMetrics::Get().accessed.Inc(result.accessed);
+    span.SetAttr("accessed", static_cast<double>(result.accessed));
+    span.SetAttr("estimated_total", result.estimated_total);
+    return result;
+  };
+  if (nearest.hits.empty()) return finish(AggregateResult{});
   ProbabilityModel pm(nearest.hits[0].distance);
   const double r_tau = pm.RadiusForThreshold(spec.prob_threshold);
   const double r_s2 = r_tau * (1.0 + eps_);
-  index::Rect region = index::Rect::BoundingBoxOfBall(q_s2, r_s2);
+  index::Rect region = index::Rect::BoundingBoxOfBall(q.s2, r_s2);
   span.SetAttr("r_tau", r_tau);
 
-
-  // Best-first traversal by element distance: the a closest records are
-  // accessed exactly (S1 distance + attribute page), and once the budget
-  // is exhausted the remaining contour elements contribute *estimates*
-  // from their entity counts and average distance to the query point —
-  // Section V-B's use of the index contour. Per-query work therefore
-  // scales with the sample size a plus the touched contour, not with the
-  // ball cardinality.
+  // Best-first walk of the contour inside the ball: the a closest
+  // records are accessed exactly (S1 distance + attribute page), and
+  // once the budget is exhausted the remaining contour elements
+  // contribute *estimates* from their entity counts and average distance
+  // to the query point — Section V-B's use of the index contour.
+  // Per-query work therefore scales with the sample size a plus the
+  // touched contour, not with the ball cardinality.
   const size_t budget = spec.sample_size == 0
                             ? std::numeric_limits<size_t>::max()
                             : spec.sample_size;
@@ -170,12 +165,11 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
     for (size_t d = 0; d < node.mbr.dim; ++d) {
       double mid = 0.5 * (static_cast<double>(node.mbr.lo[d]) +
                           node.mbr.hi[d]);
-      double diff = mid - q_s2.c[d];
+      double diff = mid - q.s2.c[d];
       centroid_d2 += diff * diff;
     }
-    double dist_s2 =
-        std::max(std::sqrt(centroid_d2),
-                 std::sqrt(node.mbr.MinDistSquared(q_s2.AsSpan())));
+    double dist_s2 = std::max(std::sqrt(centroid_d2),
+                              std::sqrt(node.mbr.MinDistSquared(q_s2)));
     double count = static_cast<double>(node.size());
     unaccessed_count +=
         count * transform::MembershipProbability(dist_s2, r_tau, alpha);
@@ -183,98 +177,75 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
                                    pm.d_min(), dist_s2, r_tau, alpha);
   };
 
-  // The contour traversal runs under one epoch pin (no locks, DESIGN.md
-  // §6f): Node pointers in the frontier and ElementIds() spans reference
-  // immutable version nodes that the pin keeps allocated. The root is
-  // captured once so the frontier traverses a single consistent version.
-  index::CrackingRTree::ReadPin pin = tree_->PinForRead();
-  const index::Node& tree_root = tree_->root();
   obs::Span contour_span(trace, "agg.contour");
-  using Frontier = std::pair<double, const index::Node*>;
-  util::ArenaVector<Frontier> frontier_store{
-      util::ArenaAllocator<Frontier>(&arena)};
-  frontier_store.reserve(64);
-  std::priority_queue<Frontier, util::ArenaVector<Frontier>, std::greater<>>
-      frontier(std::greater<>(), std::move(frontier_store));
-  frontier.emplace(tree_root.mbr.MinDistSquared(q_s2.AsSpan()),
-                   &tree_root);
   // Per-element (S2 distance, id) scratch, hoisted so its arena block is
   // reused across contour elements.
   util::ArenaVector<std::pair<double, uint32_t>> local{
       util::ArenaAllocator<std::pair<double, uint32_t>>(&arena)};
   bool budget_exhausted = false;
-  while (!frontier.empty()) {
-    // A tripped deadline / cancellation / point budget behaves exactly
-    // like an exhausted sample budget: stop accessing records and fall
-    // back to contour estimates for everything left in the ball — the
-    // answer stays usable, just with a wider Theorem 4 error. Gated on a
-    // non-empty sample so even an already-expired deadline accesses the
-    // first in-ball record instead of degenerating to value 0.
-    if (!budget_exhausted && !accessed.empty() && control.ShouldStop()) {
-      budget_exhausted = true;
-    }
-    auto [d2, node] = frontier.top();
-    frontier.pop();
-    if (std::sqrt(d2) > r_s2) break;  // outside the ball entirely
-    if (budget_exhausted) {
-      // Keep descending internal nodes (cheap: no point access) so the
-      // estimates are taken at contour-element granularity.
-      if (node->kind == index::Node::Kind::kInternal) {
-        for (const index::Node* child : node->children) {
-          double cd2 = child->mbr.MinDistSquared(q_s2.AsSpan());
-          if (std::sqrt(cd2) <= r_s2) frontier.emplace(cd2, child);
+  WalkContour(
+      tree_->root(), q_s2, r_s2, arena,
+      [&](double) {
+        // A tripped deadline / cancellation / point budget behaves
+        // exactly like an exhausted sample budget: stop accessing
+        // records and fall back to contour estimates for everything left
+        // in the ball — the answer stays usable, just with a wider
+        // Theorem 4 error. Gated on a non-empty sample so even an
+        // already-expired deadline accesses the first in-ball record
+        // instead of degenerating to value 0.
+        if (!budget_exhausted && !accessed.empty() && control.ShouldStop()) {
+          budget_exhausted = true;
         }
-      } else {
-        estimate_element(*node);
-      }
-      continue;
-    }
-    if (node->kind == index::Node::Kind::kInternal) {
-      for (const index::Node* child : node->children) {
-        double cd2 = child->mbr.MinDistSquared(q_s2.AsSpan());
-        if (std::sqrt(cd2) <= r_s2) frontier.emplace(cd2, child);
-      }
-      continue;
-    }
-    // Contour element: order its points by S2 distance and access them.
-    local.clear();
-    local.reserve(node->size());
-    for (uint32_t id : tree_->ElementIds(*node)) {
-      double d = std::sqrt(points.DistSquared(id, q_s2.AsSpan()));
-      if (d <= r_s2) local.emplace_back(d, id);
-    }
-    std::sort(local.begin(), local.end());
-    size_t processed = 0;
-    for (const auto& [s2_dist, id] : local) {
-      if (accessed.size() >= budget) break;
-      // Once at least one record is in the sample, honor stops at a
-      // small stride; the guaranteed first access keeps an
-      // already-expired deadline from producing an empty sample.
-      if (!accessed.empty() && (processed & 15) == 0 &&
-          control.ShouldStop()) {
-        break;
-      }
-      ++processed;
-      if (skip(id)) continue;
-      control.AddPoints(1);
-      double dist = embedding::L2Distance(store_->Entity(id), q_s1);
-      if (dist > r_tau) continue;  // outside the ball in S1
-      double value = AttributeValue(*graph_, spec.kind, spec.attribute, id);
-      if (spec.kind != AggKind::kCount && std::isnan(value)) continue;
-      accessed.push_back({id, dist, pm.ProbabilityAt(dist)});
-    }
-    if (accessed.size() >= budget || control.stopped()) {
-      budget_exhausted = true;
-      // Estimate the rest of this element point-wise (distances known).
-      for (size_t i = processed; i < local.size(); ++i) {
-        double s2_dist = local[i].first;
-        unaccessed_count +=
-            transform::MembershipProbability(s2_dist, r_tau, alpha);
-        unaccessed_mass += transform::ExpectedInverseMass(
-            pm.d_min(), s2_dist, r_tau, alpha);
-      }
-    }
-  }
+        return true;
+      },
+      [&](const index::Node& node) {
+        if (budget_exhausted) {
+          estimate_element(node);
+          return true;
+        }
+        // Contour element: order its points by S2 distance and access
+        // them.
+        local.clear();
+        local.reserve(node.size());
+        for (uint32_t id : tree_->ElementIds(node)) {
+          double d = std::sqrt(points.DistSquared(id, q_s2));
+          if (d <= r_s2) local.emplace_back(d, id);
+        }
+        std::sort(local.begin(), local.end());
+        size_t processed = 0;
+        for (const auto& [s2_dist, id] : local) {
+          if (accessed.size() >= budget) break;
+          // Once at least one record is in the sample, honor stops at a
+          // small stride; the guaranteed first access keeps an
+          // already-expired deadline from producing an empty sample.
+          if (!accessed.empty() && (processed & 15) == 0 &&
+              control.ShouldStop()) {
+            break;
+          }
+          ++processed;
+          if (skip(id)) continue;
+          control.AddPoints(1);
+          double dist = embedding::L2Distance(store_->Entity(id), q.s1);
+          if (dist > r_tau) continue;  // outside the ball in S1
+          double value =
+              AttributeValue(*graph_, spec.kind, spec.attribute, id);
+          if (spec.kind != AggKind::kCount && std::isnan(value)) continue;
+          accessed.push_back({id, dist, pm.ProbabilityAt(dist)});
+        }
+        if (accessed.size() >= budget || control.stopped()) {
+          budget_exhausted = true;
+          // Estimate the rest of this element point-wise (distances
+          // known).
+          for (size_t i = processed; i < local.size(); ++i) {
+            double s2_dist = local[i].first;
+            unaccessed_count +=
+                transform::MembershipProbability(s2_dist, r_tau, alpha);
+            unaccessed_mass += transform::ExpectedInverseMass(
+                pm.d_min(), s2_dist, r_tau, alpha);
+          }
+        }
+        return true;
+      });
 
   contour_span.SetAttr("accessed", static_cast<double>(accessed.size()));
   contour_span.SetAttr("estimated_count", unaccessed_count);
@@ -286,23 +257,9 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
   if (crack_after_query_ && !control.stopped()) {
     tree_->Crack(region, &control, trace);
   }
-  util::Result<AggregateResult> result =
-      Estimate(spec, std::span<const BallPoint>(accessed.data(),
-                                                accessed.size()),
-               unaccessed_mass, unaccessed_count);
-  if (result.ok() && control.stopped()) {
-    result->quality.exact = false;
-    result->quality.stop_reason = control.stop_reason();
-    AggMetrics::Get().degraded.Inc();
-    span.SetAttr("stop_reason",
-                 util::StopReasonName(result->quality.stop_reason));
-  }
-  if (result.ok()) {
-    AggMetrics::Get().accessed.Inc(result->accessed);
-    span.SetAttr("accessed", static_cast<double>(result->accessed));
-    span.SetAttr("estimated_total", result->estimated_total);
-  }
-  return result;
+  return finish(Estimate(
+      spec, std::span<const BallPoint>(accessed.data(), accessed.size()),
+      unaccessed_mass, unaccessed_count));
 }
 
 util::Result<AggregateResult> AggregateEngine::ExactAggregate(
@@ -345,7 +302,7 @@ util::Result<AggregateResult> AggregateEngine::ExactAggregate(
                   /*unaccessed_count=*/0.0);
 }
 
-util::Result<AggregateResult> AggregateEngine::Estimate(
+AggregateResult AggregateEngine::Estimate(
     const AggregateSpec& spec, std::span<const BallPoint> accessed,
     double unaccessed_mass, double unaccessed_count) const {
   AggregateResult result;

@@ -1,7 +1,6 @@
 #ifndef VKG_QUERY_AGGREGATE_ENGINE_H_
 #define VKG_QUERY_AGGREGATE_ENGINE_H_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,7 +9,7 @@
 #include "embedding/store.h"
 #include "index/cracking_rtree.h"
 #include "kg/graph.h"
-#include "query/topk_engine.h"
+#include "query/query_context.h"
 #include "transform/jl_transform.h"
 #include "util/status.h"
 
@@ -104,10 +103,10 @@ class AggregateEngine {
     double prob;
   };
 
-  util::Result<AggregateResult> Estimate(const AggregateSpec& spec,
-                                         std::span<const BallPoint> accessed,
-                                         double unaccessed_mass,
-                                         double unaccessed_count) const;
+  AggregateResult Estimate(const AggregateSpec& spec,
+                           std::span<const BallPoint> accessed,
+                           double unaccessed_mass,
+                           double unaccessed_count) const;
 
   const kg::KnowledgeGraph* graph_;
   const embedding::EmbeddingStore* store_;
@@ -115,10 +114,6 @@ class AggregateEngine {
   index::CrackingRTree* tree_;
   double eps_;
   bool crack_after_query_;
-  /// Top-1 probe shared across queries to find d_min (never cracks; the
-  /// aggregate's own final region does). Stateless per query, so safe to
-  /// share between concurrent callers with distinct contexts.
-  std::unique_ptr<RTreeTopKEngine> top1_;
 };
 
 }  // namespace vkg::query

@@ -8,6 +8,7 @@
 #include "embedding/batch_kernels.h"
 #include "embedding/vector_ops.h"
 #include "obs/metrics.h"
+#include "query/contour_walk.h"
 #include "query/prob_model.h"
 #include "util/check.h"
 
@@ -55,6 +56,43 @@ TopKResult FinalizeHits(std::vector<std::pair<double, uint32_t>> pairs,
     result.hits.push_back({id, dist, pm.ProbabilityAt(dist)});
   }
   return result;
+}
+
+// Seeds N_q: up to k entities from the contour element containing q,
+// walked outward along one sort order (line 2 of Algorithm 3). Appends
+// into `seeds` (arena-backed per-query scratch).
+void SeedCandidates(const index::CrackingRTree& tree,
+                    const index::Node& element, const index::Point& q_s2,
+                    size_t k, const std::function<bool(uint32_t)>& skip,
+                    util::ArenaVector<uint32_t>& seeds) {
+  // Traverse the element's points outward from q along sort order 0
+  // (increasing |coord0 - q0|), as described for line 2 of Algorithm 3.
+  std::span<const uint32_t> ids = tree.ElementIds(element, /*s=*/0);
+  const index::PointSet& points = tree.points();
+  const float q0 = q_s2.c[0];
+  size_t pos = static_cast<size_t>(
+      std::lower_bound(ids.begin(), ids.end(), q0,
+                       [&points](uint32_t id, float v) {
+                         return points.coord(id, 0) < v;
+                       }) -
+      ids.begin());
+
+  seeds.reserve(k);
+  size_t left = pos;   // next candidate on the left is ids[left - 1]
+  size_t right = pos;  // next candidate on the right is ids[right]
+  while (seeds.size() < k && (left > 0 || right < ids.size())) {
+    bool take_left;
+    if (left == 0) {
+      take_left = false;
+    } else if (right == ids.size()) {
+      take_left = true;
+    } else {
+      take_left = (q0 - points.coord(ids[left - 1], 0)) <=
+                  (points.coord(ids[right], 0) - q0);
+    }
+    uint32_t id = take_left ? ids[--left] : ids[right++];
+    if (!skip(id)) seeds.push_back(id);
+  }
 }
 
 }  // namespace
@@ -141,63 +179,31 @@ RTreeTopKEngine::RTreeTopKEngine(const kg::KnowledgeGraph* graph,
   VKG_CHECK(eps > 0);
 }
 
-void RTreeTopKEngine::SeedCandidates(
-    const index::Node& element, const index::Point& q_s2, size_t k,
-    const std::function<bool(uint32_t)>& skip,
-    util::ArenaVector<uint32_t>& seeds) const {
-  // Traverse the element's points outward from q along sort order 0
-  // (increasing |coord0 - q0|), as described for line 2 of Algorithm 3.
-  std::span<const uint32_t> ids = tree_->ElementIds(element, /*s=*/0);
-  const index::PointSet& points = tree_->points();
-  const float q0 = q_s2.c[0];
-  size_t pos = static_cast<size_t>(
-      std::lower_bound(ids.begin(), ids.end(), q0,
-                       [&points](uint32_t id, float v) {
-                         return points.coord(id, 0) < v;
-                       }) -
-      ids.begin());
-
-  seeds.reserve(k);
-  size_t left = pos;   // next candidate on the left is ids[left - 1]
-  size_t right = pos;  // next candidate on the right is ids[right]
-  while (seeds.size() < k && (left > 0 || right < ids.size())) {
-    bool take_left;
-    if (left == 0) {
-      take_left = false;
-    } else if (right == ids.size()) {
-      take_left = true;
-    } else {
-      take_left = (q0 - points.coord(ids[left - 1], 0)) <=
-                  (points.coord(ids[right], 0) - q0);
-    }
-    uint32_t id = take_left ? ids[--left] : ids[right++];
-    if (!skip(id)) seeds.push_back(id);
-  }
+ProjectedQuery ProjectQuery(const embedding::EmbeddingStore& store,
+                            const transform::JlTransform& jl,
+                            const data::Query& query, QueryContext& ctx) {
+  util::Arena& arena = ctx.arena();
+  std::span<float> q_s1 = arena.AllocateSpan<float>(store.dim());
+  store.QueryCenterInto(query.anchor, query.relation, query.direction, q_s1);
+  obs::Span jl_span(ctx.trace(), "jl.project");
+  std::span<float> q_alpha = arena.AllocateSpan<float>(jl.output_dim());
+  jl.Apply(q_s1, q_alpha);
+  return {q_s1, index::Point::FromSpan(q_alpha)};
 }
 
-TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
-                                      QueryContext& ctx) const {
-  obs::ScopedLatencyUs latency(TopKMetrics::Get().latency_us);
+TopKResult FindTopK(const index::CrackingRTree& tree,
+                    const embedding::EmbeddingStore& store,
+                    const ProjectedQuery& q, size_t k, double eps,
+                    const std::function<bool(uint32_t)>& skip,
+                    QueryContext& ctx, double* radius) {
+  VKG_DCHECK(k > 0);
   obs::Trace* trace = ctx.trace();
-  obs::Span span(trace, "topk.rtree");
-  span.SetAttr("k", static_cast<double>(k));
   util::QueryControl& control = ctx.control();
   util::Arena& arena = ctx.arena();
-  arena.Reset();
-  const std::function<bool(uint32_t)> skip = MakeSkipFn(*graph_, query);
-  std::span<float> q_s1 = arena.AllocateSpan<float>(store_->dim());
-  store_->QueryCenterInto(query.anchor, query.relation, query.direction, q_s1);
-  index::Point q_s2 = [&] {
-    obs::Span jl_span(trace, "jl.project");
-    std::span<float> q_alpha = arena.AllocateSpan<float>(jl_->output_dim());
-    jl_->Apply(q_s1, q_alpha);
-    return index::Point::FromSpan(q_alpha);
-  }();
-
-  if (store_->num_entities() == 0 || k == 0) return {};
+  const std::span<const float> q_s2 = q.s2.AsSpan();
   // May flag the query stopped (scratch budget): the seeds below are
   // still examined, so even then the answer is non-empty.
-  const auto [visit_stamp, stamp] = ctx.BeginQuery(store_->num_entities());
+  const auto [visit_stamp, stamp] = ctx.BeginQuery(store.num_entities());
 
   size_t candidates = 0;
   // Max-heap of the best k (S1 squared distance, id); its backing
@@ -228,7 +234,7 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
         if (skip(id)) continue;
         cand[cnt++] = id;
       }
-      embedding::GatherL2DistanceSquared(q_s1, *store_, cand.first(cnt),
+      embedding::GatherL2DistanceSquared(q.s1, store, cand.first(cnt),
                                          dist.data());
       candidates += cnt;
       control.AddPoints(cnt);
@@ -248,114 +254,84 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
   constexpr double kInf = std::numeric_limits<double>::infinity();
   auto current_radius = [&]() {
     if (best.size() < k) return kInf;
-    return std::sqrt(best.top().first) * (1.0 + eps_);
+    return std::sqrt(best.top().first) * (1.0 + eps);
   };
 
-  double r_q = kInf;
-  double certified = 0.0;
-  double root_margin = 0.0;
-  bool complete = true;
+  // The whole read phase — probe, seeding, frontier traversal — runs
+  // under one epoch pin (no locks, DESIGN.md §6f): the Node pointers
+  // and ElementIds() spans below reference immutable version nodes,
+  // and the pin keeps them allocated even after concurrent cracks
+  // publish newer versions. The root is captured once so the frontier
+  // traverses a single consistent version.
+  index::CrackingRTree::ReadPin pin = tree.PinForRead();
+  const index::Node& tree_root = tree.root();
+  const double root_margin = tree_root.mbr.Margin();
+
+  // Lines 1-3: probe for the element containing q and seed N_q, giving
+  // the initial radius r_q = r_k*(N_q) (1 + eps).
+  const index::Node* element = [&] {
+    obs::Span probe_span(trace, "probe");
+    return tree.ProbeSmallest(q_s2);
+  }();
   {
-    // The whole read phase — probe, seeding, frontier traversal — runs
-    // under one epoch pin (no locks, DESIGN.md §6f): the Node pointers
-    // and ElementIds() spans below reference immutable version nodes,
-    // and the pin keeps them allocated even after concurrent cracks
-    // publish newer versions. The root is captured once so the frontier
-    // traverses a single consistent version.
-    index::CrackingRTree::ReadPin pin = tree_->PinForRead();
-    const index::Node& tree_root = tree_->root();
-    root_margin = tree_root.mbr.Margin();
-
-    // Lines 1-3: probe for the element containing q and seed N_q, giving
-    // the initial radius r_q = r_k*(N_q) (1 + eps).
-    const index::Node* element = [&] {
-      obs::Span probe_span(trace, "probe");
-      return tree_->ProbeSmallest(q_s2.AsSpan());
-    }();
-    {
-      obs::Span seed_span(trace, "seed");
-      util::ArenaVector<uint32_t> seeds{
-          util::ArenaAllocator<uint32_t>(&arena)};
-      SeedCandidates(*element, q_s2, k, skip, seeds);
-      seed_span.SetAttr("seeds", static_cast<double>(seeds.size()));
-      examine({seeds.data(), seeds.size()}, /*enforce=*/false);
-    }
-
-    // Lines 4-8: iteratively shrink Q while examining its points. The
-    // contour is traversed best-first by MBR distance to q; every point
-    // examined can tighten r_k* and hence Q, so elements that fall outside
-    // the refined region are never touched — the paper's "iteratively
-    // reduce the query rectangle region until all points in Q have been
-    // examined".
-    //
-    // Pops come off the frontier in non-decreasing MBR distance, so when
-    // the query stops early every point strictly closer than the last pop
-    // has been examined: that distance is the certified radius within
-    // which the Theorem 2/3 guarantees still hold.
-    r_q = current_radius();
-    obs::Span frontier_span(trace, "frontier");
-    size_t frontier_pops = 0;
-    using Frontier = std::pair<double, const index::Node*>;  // (mindist, node)
-    util::ArenaVector<Frontier> frontier_store{
-        util::ArenaAllocator<Frontier>(&arena)};
-    frontier_store.reserve(64);
-    std::priority_queue<Frontier, util::ArenaVector<Frontier>, std::greater<>>
-        frontier(std::greater<>(), std::move(frontier_store));
-    frontier.emplace(tree_root.mbr.MinDistSquared(q_s2.AsSpan()),
-                     &tree_root);
-    while (!frontier.empty()) {
-      ++frontier_pops;
-      // An empty heap means nothing has been answered yet (the seed
-      // element held only skipped entities): keep examining unchecked
-      // until one candidate exists, so even an already-expired query
-      // returns a non-empty best-effort answer.
-      const bool must_progress = best.empty();
-      if (!must_progress && control.ShouldStop()) {
-        complete = false;
-        break;
-      }
-      auto [d2, node] = frontier.top();
-      frontier.pop();
-      const double mindist = std::sqrt(d2);
-      if (mindist > r_q) break;  // everything left is outside Q
-      certified = mindist;
-      if (node->kind == index::Node::Kind::kInternal) {
-        for (const index::Node* child : node->children) {
-          double cd2 = child->mbr.MinDistSquared(q_s2.AsSpan());
-          if (std::sqrt(cd2) <= r_q) frontier.emplace(cd2, child);
-        }
-        continue;
-      }
-      examine(tree_->ElementIds(*node), /*enforce=*/!must_progress);
-      if (!must_progress && control.stopped()) {
-        complete = false;  // bailed mid-element
-        break;
-      }
-      r_q = current_radius();
-    }
-    frontier_span.SetAttr("pops", static_cast<double>(frontier_pops));
-    frontier_span.SetAttr("candidates", static_cast<double>(candidates));
+    obs::Span seed_span(trace, "seed");
+    util::ArenaVector<uint32_t> seeds{
+        util::ArenaAllocator<uint32_t>(&arena)};
+    SeedCandidates(tree, *element, q.s2, k, skip, seeds);
+    seed_span.SetAttr("seeds", static_cast<double>(seeds.size()));
+    examine({seeds.data(), seeds.size()}, /*enforce=*/false);
   }
+
+  // Lines 4-8: iteratively shrink Q while examining its points. Every
+  // point examined can tighten r_k* and hence Q, so elements that fall
+  // outside the refined region are never touched — the paper's
+  // "iteratively reduce the query rectangle region until all points in
+  // Q have been examined".
+  //
+  // Pops come off the walk in non-decreasing MBR distance, so when the
+  // query stops early every point strictly closer than the last pop
+  // has been examined: that distance is the certified radius within
+  // which the Theorem 2/3 guarantees still hold.
+  double r_q = current_radius();
+  double certified = 0.0;
+  bool complete = true;
+  obs::Span frontier_span(trace, "frontier");
+  size_t frontier_pops = 0;
+  // An empty heap means nothing has been answered yet (the seed
+  // element held only skipped entities): keep examining unchecked
+  // until one candidate exists, so even an already-expired query
+  // returns a non-empty best-effort answer.
+  WalkContour(
+      tree_root, q_s2, r_q, arena,
+      [&](double mindist) {
+        ++frontier_pops;
+        if (!best.empty() && control.ShouldStop()) {
+          complete = false;
+          return false;
+        }
+        certified = mindist;
+        return true;
+      },
+      [&](const index::Node& node) {
+        const bool must_progress = best.empty();
+        examine(tree.ElementIds(node), /*enforce=*/!must_progress);
+        if (!must_progress && control.stopped()) {
+          complete = false;  // bailed mid-element
+          return false;
+        }
+        r_q = current_radius();
+        return true;
+      });
+  frontier_span.SetAttr("pops", static_cast<double>(frontier_pops));
+  frontier_span.SetAttr("candidates", static_cast<double>(candidates));
+  frontier_span.End();
   if (r_q == kInf) {
     // Fewer than k valid entities in the whole dataset.
     r_q = root_margin + 1.0;
   }
+  // A walk that ran out of frontier or left the ball examined all of Q.
   if (complete) certified = r_q;
-  index::Rect region = index::Rect::BoundingBoxOfBall(q_s2, r_q);
-
-  ResultQuality quality;
-  quality.certified_radius = certified;
-  if (control.stopped()) {
-    quality.exact = false;
-    quality.stop_reason = control.stop_reason();
-  }
-
-  // Line 9: incremental index build with the final region. A degraded
-  // query skips it — its region underestimates Q, and its time is up —
-  // while a healthy query cracks under the remaining crack budget.
-  if (crack_after_query_ && !control.stopped()) {
-    tree_->Crack(region, &control, trace);
-  }
+  *radius = r_q;
 
   std::vector<std::pair<double, uint32_t>> pairs;
   pairs.reserve(best.size());
@@ -365,12 +341,42 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
   }
   std::reverse(pairs.begin(), pairs.end());
   TopKResult result = FinalizeHits(std::move(pairs), candidates);
-  result.quality = quality;
+  result.quality.certified_radius = certified;
+  if (control.stopped()) {
+    result.quality.exact = false;
+    result.quality.stop_reason = control.stop_reason();
+  }
+  return result;
+}
+
+TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
+                                      QueryContext& ctx) const {
+  obs::ScopedLatencyUs latency(TopKMetrics::Get().latency_us);
+  obs::Trace* trace = ctx.trace();
+  obs::Span span(trace, "topk.rtree");
+  span.SetAttr("k", static_cast<double>(k));
+  util::QueryControl& control = ctx.control();
+  ctx.arena().Reset();
+  const std::function<bool(uint32_t)> skip = MakeSkipFn(*graph_, query);
+  const ProjectedQuery q = ProjectQuery(*store_, *jl_, query, ctx);
+  if (store_->num_entities() == 0 || k == 0) return {};
+
+  double r_q = 0.0;
+  TopKResult result = FindTopK(*tree_, *store_, q, k, eps_, skip, ctx, &r_q);
+
+  // Line 9: incremental index build with the final region. A degraded
+  // query skips it — its region underestimates Q, and its time is up —
+  // while a healthy query cracks under the remaining crack budget.
+  if (crack_after_query_ && !control.stopped()) {
+    tree_->Crack(index::Rect::BoundingBoxOfBall(q.s2, r_q), &control, trace);
+  }
+
   span.SetAttr("radius", r_q);
-  span.SetAttr("certified_radius", certified);
-  span.SetAttr("candidates", static_cast<double>(candidates));
-  if (!quality.exact) {
-    span.SetAttr("stop_reason", util::StopReasonName(quality.stop_reason));
+  span.SetAttr("certified_radius", result.quality.certified_radius);
+  span.SetAttr("candidates", static_cast<double>(result.candidates_examined));
+  if (!result.quality.exact) {
+    span.SetAttr("stop_reason",
+                 util::StopReasonName(result.quality.stop_reason));
   }
   TopKMetrics::Get().Record(result);
   return result;

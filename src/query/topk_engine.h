@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/workload.h"
@@ -40,6 +41,33 @@ struct TopKResult {
 /// are not answers.
 std::function<bool(uint32_t)> MakeSkipFn(const kg::KnowledgeGraph& graph,
                                          const data::Query& query);
+
+/// A query center in S1 and its JL projection in S2. The S1 vector lives
+/// in the query arena of the context it was projected with.
+struct ProjectedQuery {
+  std::span<const float> s1;
+  index::Point s2;
+};
+
+/// Computes the query center into ctx's arena and projects it through
+/// `jl` (traced as "jl.project"). Does not reset the arena.
+ProjectedQuery ProjectQuery(const embedding::EmbeddingStore& store,
+                            const transform::JlTransform& jl,
+                            const data::Query& query, QueryContext& ctx);
+
+/// Lines 1-8 of FINDTOP-KENTITIES (Algorithm 3) over `tree`: probe the
+/// contour element containing q, seed N_q from it, then walk the contour
+/// best-first while r_q = r_k* (1 + eps) shrinks (traced as "probe",
+/// "seed" and "frontier"). Draws its scratch from ctx's arena without
+/// resetting it and shares ctx's control block, so the aggregate engine
+/// runs it (k = 1) inside its own query to find d_min. Records no metrics
+/// and never cracks. Returns the answer with its quality and writes the
+/// final r_q to *radius. Requires k >= 1 and a non-empty store.
+TopKResult FindTopK(const index::CrackingRTree& tree,
+                    const embedding::EmbeddingStore& store,
+                    const ProjectedQuery& q, size_t k, double eps,
+                    const std::function<bool(uint32_t)>& skip,
+                    QueryContext& ctx, double* radius);
 
 /// Interface implemented by every compared method.
 ///
@@ -129,17 +157,7 @@ class RTreeTopKEngine : public TopKEngine {
   const kg::KnowledgeGraph* graph() const override { return graph_; }
   std::string_view name() const override { return name_; }
 
-  /// Query-region expansion factor (1 + eps) currently in use.
-  double eps() const { return eps_; }
-
  private:
-  // Seeds N_q: up to k entities from the contour element containing q,
-  // walked outward along one sort order (line 2 of Algorithm 3).
-  // Appends into `seeds` (arena-backed per-query scratch).
-  void SeedCandidates(const index::Node& element, const index::Point& q_s2,
-                      size_t k, const std::function<bool(uint32_t)>& skip,
-                      util::ArenaVector<uint32_t>& seeds) const;
-
   const kg::KnowledgeGraph* graph_;
   const embedding::EmbeddingStore* store_;
   const transform::JlTransform* jl_;

@@ -42,15 +42,52 @@ std::string RandomSchedule(util::Rng& rng, bool worker_site,
   return spec;
 }
 
-struct Oracle {
-  query::TopKResult topk;
-  double aggregate_value = 0.0;
-  bool aggregate_exact = false;
-  bool is_aggregate = false;
-  bool valid = false;
-};
+uint64_t SumTrips(const ServerStats& stats) {
+  uint64_t trips = 0;
+  for (const auto& shard : stats.shards) trips += shard.breaker.trips;
+  return trips;
+}
 
-bool MatchesOracle(const query::ServerResponse& got, const Oracle& want) {
+uint64_t SumRecoveries(const ServerStats& stats) {
+  uint64_t recoveries = 0;
+  for (const auto& shard : stats.shards) {
+    recoveries += shard.breaker.recoveries;
+  }
+  return recoveries;
+}
+
+}  // namespace
+
+std::vector<std::string> AllChaosSites() {
+  return {"server.admit",  "server.cache",   "server.shard_dispatch",
+          "server.queue",  "cracking.split", "cracking.publish",
+          "alloc.scratch", "alloc.arena"};
+}
+
+std::vector<ChaosOracle> BuildChaosOracle(
+    VkgServer& server, const std::vector<query::ServerRequest>& slots) {
+  std::vector<ChaosOracle> oracle(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    query::ServerRequest req = slots[i];
+    req.deadline_ms = 0.0;
+    req.budget = util::ResourceBudget{};
+    req.bypass_cache = true;
+    req.priority = 1;
+    query::ServerResponse r = server.Execute(std::move(req));
+    if (!r.ok()) continue;
+    oracle[i].valid = true;
+    if (slots[i].kind == query::RequestKind::kAggregate) {
+      oracle[i].is_aggregate = true;
+      oracle[i].aggregate_value = r.aggregate.value;
+      oracle[i].aggregate_exact = r.aggregate.quality.exact;
+    } else {
+      oracle[i].topk = r.topk;
+    }
+  }
+  return oracle;
+}
+
+bool MatchesOracle(const query::ServerResponse& got, const ChaosOracle& want) {
   if (want.is_aggregate) {
     if (!got.aggregate.quality.exact || !want.aggregate_exact) return true;
     const double tol =
@@ -84,28 +121,6 @@ bool MatchesOracle(const query::ServerResponse& got, const Oracle& want) {
     }
   }
   return true;
-}
-
-uint64_t SumTrips(const ServerStats& stats) {
-  uint64_t trips = 0;
-  for (const auto& shard : stats.shards) trips += shard.breaker.trips;
-  return trips;
-}
-
-uint64_t SumRecoveries(const ServerStats& stats) {
-  uint64_t recoveries = 0;
-  for (const auto& shard : stats.shards) {
-    recoveries += shard.breaker.recoveries;
-  }
-  return recoveries;
-}
-
-}  // namespace
-
-std::vector<std::string> AllChaosSites() {
-  return {"server.admit",  "server.cache",   "server.shard_dispatch",
-          "server.queue",  "cracking.split", "cracking.publish",
-          "alloc.scratch", "alloc.arena"};
 }
 
 bool ChaosReport::Passed(const ChaosConfig& config) const {
@@ -145,24 +160,7 @@ ChaosReport RunChaosCampaign(
   registry.Clear();
 
   // --- Oracle pass (sequential, fault-free, unlimited) --------------------
-  std::vector<Oracle> oracle(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    query::ServerRequest req = slots[i];
-    req.deadline_ms = 0.0;
-    req.budget = util::ResourceBudget{};
-    req.bypass_cache = true;
-    req.priority = 1;
-    query::ServerResponse r = server.Execute(std::move(req));
-    if (!r.ok()) continue;
-    oracle[i].valid = true;
-    if (slots[i].kind == query::RequestKind::kAggregate) {
-      oracle[i].is_aggregate = true;
-      oracle[i].aggregate_value = r.aggregate.value;
-      oracle[i].aggregate_exact = r.aggregate.quality.exact;
-    } else {
-      oracle[i].topk = r.topk;
-    }
-  }
+  const std::vector<ChaosOracle> oracle = BuildChaosOracle(server, slots);
 
   // --- Phase 1: randomized multi-client storm -----------------------------
   std::atomic<size_t> submitted{0};

@@ -36,6 +36,25 @@ namespace vkg::server {
 /// serialize/batch sites are not on the serving path).
 std::vector<std::string> AllChaosSites();
 
+/// A slot's sequential, fault-free answer: the reference for invariant
+/// 2, shared with the socket-level campaign (net/chaos.h).
+struct ChaosOracle {
+  query::TopKResult topk;
+  double aggregate_value = 0.0;
+  bool aggregate_exact = false;
+  bool is_aggregate = false;
+  bool valid = false;  // false when the slot itself failed
+};
+
+/// Executes every slot once, unlimited and uncached. Call it before
+/// arming any failpoint.
+std::vector<ChaosOracle> BuildChaosOracle(
+    VkgServer& server, const std::vector<query::ServerRequest>& slots);
+
+/// False (printing the difference) when both answers are exact and
+/// differ; degraded answers are not compared.
+bool MatchesOracle(const query::ServerResponse& got, const ChaosOracle& want);
+
 struct ChaosConfig {
   uint64_t seed = 42;
   /// Total randomized-storm submissions, split across clients & rounds.

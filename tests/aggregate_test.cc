@@ -9,6 +9,7 @@
 
 #include "data/movielens_gen.h"
 #include "data/workload.h"
+#include "obs/metrics.h"
 #include "query/aggregate_engine.h"
 #include "query/metrics.h"
 #include "query/prob_model.h"
@@ -150,6 +151,19 @@ TEST(AggregateIndexTest, SampleSizeLimitsAccess) {
   ASSERT_TRUE(r.ok());
   EXPECT_LE(r->accessed, 3u);
   EXPECT_GE(r->estimated_total, static_cast<double>(r->accessed));
+}
+
+// The d_min probe is part of the aggregate, not a top-k query of its
+// own: one aggregate moves the aggregate counters only.
+TEST(AggregateIndexTest, CountsOnceInMetrics) {
+  ControlledSetup s;
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  const uint64_t agg_before = reg.GetCounter("vkg_agg_queries_total").Value();
+  const uint64_t topk_before =
+      reg.GetCounter("vkg_topk_queries_total").Value();
+  ASSERT_TRUE(s.engine->Aggregate(s.Spec(AggKind::kCount, 0.25)).ok());
+  EXPECT_EQ(reg.GetCounter("vkg_agg_queries_total").Value(), agg_before + 1);
+  EXPECT_EQ(reg.GetCounter("vkg_topk_queries_total").Value(), topk_before);
 }
 
 TEST(AggregateIndexTest, ValidationErrors) {

@@ -244,8 +244,8 @@ TEST_F(ConcurrentCrackingTest, DeadlineStormDegradesInsteadOfStalling) {
 
 TEST_F(ConcurrentCrackingTest, MixedTopKAndAggregateStorm) {
   // Top-k and aggregate threads share the tree; aggregates take nested
-  // read pins (their top-1 probe runs Algorithm 3 inside the outer
-  // traversal) — the re-entrant epoch pin must nest cleanly.
+  // read pins (their d_min probe runs Algorithm 3's core under the
+  // aggregate's pin) — the re-entrant epoch pin must nest cleanly.
   Rig shared(*ds_);
   AggregateEngine agg(&ds_->graph, &ds_->embeddings, &shared.jl,
                       &shared.tree, /*eps=*/1.0,

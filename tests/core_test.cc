@@ -34,6 +34,36 @@ TEST(OptionsTest, NormalizedSyncsSplitChoices) {
   EXPECT_EQ(o.Normalized().rtree.split_choices, 3u);  // untouched
 }
 
+TEST(MethodNameTest, ParseMethodInvertsMethodName) {
+  for (int k = 0; k <= static_cast<int>(index::MethodKind::kH2Alsh); ++k) {
+    const auto kind = static_cast<index::MethodKind>(k);
+    auto parsed = index::ParseMethod(index::MethodName(kind));
+    ASSERT_TRUE(parsed.ok()) << index::MethodName(kind);
+    EXPECT_EQ(*parsed, kind);
+  }
+  EXPECT_EQ(*index::ParseMethod("crack"), index::MethodKind::kCracking);
+}
+
+TEST(MethodNameTest, ParseMethodRejectsUnknownNames) {
+  for (const char* name : {"", "crack2", "bulk", "noindex", "unknown"}) {
+    EXPECT_EQ(index::ParseMethod(name).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << name;
+  }
+}
+
+TEST(MethodNameTest, OnlyCrackingMethodsCrackOnline) {
+  using index::MethodKind;
+  for (MethodKind kind : {MethodKind::kCracking, MethodKind::kCracking2,
+                          MethodKind::kCracking3, MethodKind::kCracking4}) {
+    EXPECT_TRUE(index::CracksOnline(kind)) << index::MethodName(kind);
+  }
+  for (MethodKind kind : {MethodKind::kNoIndex, MethodKind::kPhTree,
+                          MethodKind::kBulkRTree, MethodKind::kH2Alsh}) {
+    EXPECT_FALSE(index::CracksOnline(kind)) << index::MethodName(kind);
+  }
+}
+
 TEST(VirtualGraphTest, BuildValidation) {
   kg::KnowledgeGraph g = TinyGraph();
   VkgOptions options;

@@ -10,6 +10,8 @@
 //   vkg_cli topk      --triples t.tsv --embeddings e.bin --anchor NAME
 //                     --relation NAME [--heads] [--k 10] [--method crack]
 //                     [--deadline-ms 0] [--max-points 0] [--trace]
+//                     (--method takes a method label: crack,
+//                      crack-2choice, bulk-load, no-index, ph-tree, ...)
 //   vkg_cli aggregate --triples t.tsv --embeddings e.bin --anchor NAME
 //                     --relation NAME --kind count|sum|avg|max|min
 //                     [--attribute FILE.tsv --attribute-name year]
@@ -315,18 +317,8 @@ util::Result<std::unique_ptr<core::VirtualKnowledgeGraph>> BuildVkg(
   VKG_ASSIGN_OR_RETURN(embedding::EmbeddingStore store,
                        embedding::EmbeddingStore::Load(emb));
   core::VkgOptions options;
-  std::string method = flags.Get("method", "crack");
-  if (method == "crack") {
-    options.method = index::MethodKind::kCracking;
-  } else if (method == "crack2") {
-    options.method = index::MethodKind::kCracking2;
-  } else if (method == "bulk") {
-    options.method = index::MethodKind::kBulkRTree;
-  } else if (method == "noindex") {
-    options.method = index::MethodKind::kNoIndex;
-  } else {
-    return util::Status::InvalidArgument("unknown --method " + method);
-  }
+  VKG_ASSIGN_OR_RETURN(options.method,
+                       index::ParseMethod(flags.Get("method", "crack")));
   options.alpha = flags.GetSize("alpha", 3);
   options.eps = flags.GetDouble("eps", 1.0);
   options.query_deadline_ms = flags.GetDouble("deadline-ms", 0.0);
