@@ -1,6 +1,7 @@
 #ifndef VKG_KG_GRAPH_H_
 #define VKG_KG_GRAPH_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,6 +63,14 @@ class KnowledgeGraph {
   /// such edges (Section II semantics).
   bool HasEdge(EntityId h, RelationId r, EntityId t) const {
     return triples_.Contains({h, r, t});
+  }
+
+  /// The entities E already links to `e` by `r` in direction `dir`,
+  /// ascending (see TripleStore::Known); live across AddEdge and
+  /// MaskRandomEdges.
+  std::span<const EntityId> Known(EntityId e, RelationId r,
+                                  Direction dir) const {
+    return triples_.Known(e, r, dir);
   }
 
   /// Type label id of entity `e` (kInvalidEntity-safe: requires valid id).

@@ -2,7 +2,6 @@
 #define VKG_KG_TYPES_H_
 
 #include <cstdint>
-#include <functional>
 
 namespace vkg::kg {
 
@@ -36,20 +35,6 @@ struct PredictedEdge {
 /// Query direction: given (h, r) ask for tails, or given (t, r) ask for
 /// heads.
 enum class Direction { kTail, kHead };
-
-struct TripleHash {
-  size_t operator()(const Triple& t) const {
-    uint64_t x = (static_cast<uint64_t>(t.head) << 32) ^
-                 (static_cast<uint64_t>(t.relation) << 17) ^ t.tail;
-    // splitmix64 finalizer.
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<size_t>(x);
-  }
-};
 
 }  // namespace vkg::kg
 

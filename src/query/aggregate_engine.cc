@@ -47,6 +47,7 @@ double AttributeValue(const kg::KnowledgeGraph& graph, AggKind kind,
 
 util::Status ValidateSpec(const kg::KnowledgeGraph& graph,
                           const AggregateSpec& spec) {
+  VKG_RETURN_IF_ERROR(ValidateQuery(graph, spec.query));
   if (spec.prob_threshold <= 0.0 || spec.prob_threshold > 1.0) {
     return util::Status::InvalidArgument(
         "prob_threshold must be in (0, 1]");
@@ -143,11 +144,15 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
   // contribute *estimates* from their entity counts and average distance
   // to the query point — Section V-B's use of the index contour.
   // Per-query work therefore scales with the sample size a plus the
-  // touched contour, not with the ball cardinality.
+  // touched contour, not with the ball cardinality. The probe above
+  // stamped what it examined, so the walk takes a fresh stamp holding
+  // only the skipped ids.
   const size_t budget = spec.sample_size == 0
                             ? std::numeric_limits<size_t>::max()
                             : spec.sample_size;
   const index::PointSet& points = tree_->points();
+  const QueryContext::Stamped skipped = ctx.NextStamp();
+  skip.StampInto(skipped, store_->num_entities());
   util::ArenaVector<BallPoint> accessed{util::ArenaAllocator<BallPoint>(
       &arena)};
   double unaccessed_mass = 0.0;
@@ -223,7 +228,7 @@ util::Result<AggregateResult> AggregateEngine::Aggregate(
             break;
           }
           ++processed;
-          if (skip(id)) continue;
+          if (skipped.stamps[id] == skipped.stamp) continue;
           control.AddPoints(1);
           double dist = embedding::L2Distance(store_->Entity(id), q.s1);
           if (dist > r_tau) continue;  // outside the ball in S1

@@ -1,6 +1,7 @@
 #ifndef VKG_QUERY_QUERY_CONTEXT_H_
 #define VKG_QUERY_QUERY_CONTEXT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <new>
 #include <vector>
@@ -75,8 +76,15 @@ class QueryContext {
       visit_stamp_.assign(n, 0);
       stamp_ = 0;
     }
+    return NextStamp();
+  }
+
+  /// A fresh stamp over the array the last BeginQuery sized, for a second
+  /// pass of the same query (the aggregate's ball walk after its d_min
+  /// probe). No budget check: the array is already allocated.
+  Stamped NextStamp() {
     if (++stamp_ == 0) {  // wrapped: every old stamp is stale
-      visit_stamp_.assign(n, 0);
+      std::fill(visit_stamp_.begin(), visit_stamp_.end(), 0);
       stamp_ = 1;
     }
     return {visit_stamp_.data(), stamp_};

@@ -58,12 +58,12 @@ TopKResult FinalizeHits(std::vector<std::pair<double, uint32_t>> pairs,
   return result;
 }
 
-// Seeds N_q: up to k entities from the contour element containing q,
-// walked outward along one sort order (line 2 of Algorithm 3). Appends
-// into `seeds` (arena-backed per-query scratch).
+// Seeds N_q: up to k unstamped entities from the contour element
+// containing q, walked outward along one sort order (line 2 of
+// Algorithm 3). Appends into `seeds` (arena-backed per-query scratch).
 void SeedCandidates(const index::CrackingRTree& tree,
                     const index::Node& element, const index::Point& q_s2,
-                    size_t k, const std::function<bool(uint32_t)>& skip,
+                    size_t k, const QueryContext::Stamped& visited,
                     util::ArenaVector<uint32_t>& seeds) {
   // Traverse the element's points outward from q along sort order 0
   // (increasing |coord0 - q0|), as described for line 2 of Algorithm 3.
@@ -91,39 +91,35 @@ void SeedCandidates(const index::CrackingRTree& tree,
                   (points.coord(ids[right], 0) - q0);
     }
     uint32_t id = take_left ? ids[--left] : ids[right++];
-    if (!skip(id)) seeds.push_back(id);
+    if (visited.stamps[id] != visited.stamp) seeds.push_back(id);
   }
 }
 
 }  // namespace
 
-util::Status ValidateQuery(const TopKEngine& engine,
+util::Status ValidateQuery(const kg::KnowledgeGraph& graph,
                            const data::Query& query) {
-  const kg::KnowledgeGraph* graph = engine.graph();
-  if (graph == nullptr) return util::Status::OK();
-  if (query.anchor >= graph->num_entities()) {
+  if (query.anchor >= graph.num_entities()) {
     return util::Status::InvalidArgument(
         "query anchor is not an entity of the graph");
   }
-  if (query.relation >= graph->num_relations()) {
+  if (query.relation >= graph.num_relations()) {
     return util::Status::InvalidArgument(
         "query relation is not a relation of the graph");
   }
   return util::Status::OK();
 }
 
-std::function<bool(uint32_t)> MakeSkipFn(const kg::KnowledgeGraph& graph,
-                                         const data::Query& query) {
-  if (query.direction == kg::Direction::kTail) {
-    return [&graph, query](uint32_t candidate) {
-      return candidate == query.anchor ||
-             graph.HasEdge(query.anchor, query.relation, candidate);
-    };
-  }
-  return [&graph, query](uint32_t candidate) {
-    return candidate == query.anchor ||
-           graph.HasEdge(candidate, query.relation, query.anchor);
-  };
+util::Status ValidateQuery(const TopKEngine& engine,
+                           const data::Query& query) {
+  const kg::KnowledgeGraph* graph = engine.graph();
+  if (graph == nullptr) return util::Status::OK();
+  return ValidateQuery(*graph, query);
+}
+
+SkipFn MakeSkipFn(const kg::KnowledgeGraph& graph, const data::Query& query) {
+  return {query.anchor,
+          graph.Known(query.anchor, query.relation, query.direction)};
 }
 
 // ---------------------------------------------------------------------------
@@ -141,8 +137,7 @@ TopKResult LinearTopKEngine::TopKQuery(const data::Query& query, size_t k,
   store_->QueryCenterInto(query.anchor, query.relation, query.direction, q);
   const auto skip = MakeSkipFn(*graph_, query);
   const size_t points_before = control.points();
-  auto pairs = scan_.TopK(
-      q, k, [&skip](uint32_t e) { return skip(e); }, &control);
+  auto pairs = scan_.TopK(q, k, skip, &control);
   TopKResult result =
       FinalizeHits(std::move(pairs), control.points() - points_before);
   if (control.stopped()) {
@@ -194,16 +189,17 @@ ProjectedQuery ProjectQuery(const embedding::EmbeddingStore& store,
 TopKResult FindTopK(const index::CrackingRTree& tree,
                     const embedding::EmbeddingStore& store,
                     const ProjectedQuery& q, size_t k, double eps,
-                    const std::function<bool(uint32_t)>& skip,
-                    QueryContext& ctx, double* radius) {
+                    const SkipFn& skip, QueryContext& ctx, double* radius) {
   VKG_DCHECK(k > 0);
   obs::Trace* trace = ctx.trace();
   util::QueryControl& control = ctx.control();
   util::Arena& arena = ctx.arena();
   const std::span<const float> q_s2 = q.s2.AsSpan();
   // May flag the query stopped (scratch budget): the seeds below are
-  // still examined, so even then the answer is non-empty.
-  const auto [visit_stamp, stamp] = ctx.BeginQuery(store.num_entities());
+  // still examined, so even then the answer is non-empty. The skipped
+  // ids count as visited from the start, so they are never candidates.
+  const QueryContext::Stamped visited = ctx.BeginQuery(store.num_entities());
+  skip.StampInto(visited, store.num_entities());
 
   size_t candidates = 0;
   // Max-heap of the best k (S1 squared distance, id); its backing
@@ -216,8 +212,8 @@ TopKResult FindTopK(const index::CrackingRTree& tree,
   constexpr size_t kExamineBlock = 256;
   std::span<uint32_t> cand = arena.AllocateSpan<uint32_t>(kExamineBlock);
   std::span<double> dist = arena.AllocateSpan<double>(kExamineBlock);
-  // Exact S1 re-rank of a candidate batch: filter already-seen/skipped
-  // ids, evaluate the survivors through the gather kernel, then fold
+  // Exact S1 re-rank of a candidate batch: filter already-stamped ids,
+  // evaluate the survivors through the gather kernel, then fold
   // them into the heap in order (identical results to one-at-a-time).
   // Candidates are processed in blocks so a deadline / budget trip is
   // observed mid-element; the seed batch runs unchecked (enforce ==
@@ -229,9 +225,8 @@ TopKResult FindTopK(const index::CrackingRTree& tree,
       const size_t len = std::min(kExamineBlock, ids.size() - base);
       size_t cnt = 0;
       for (uint32_t id : ids.subspan(base, len)) {
-        if (visit_stamp[id] == stamp) continue;
-        visit_stamp[id] = stamp;
-        if (skip(id)) continue;
+        if (visited.stamps[id] == visited.stamp) continue;
+        visited.stamps[id] = visited.stamp;
         cand[cnt++] = id;
       }
       embedding::GatherL2DistanceSquared(q.s1, store, cand.first(cnt),
@@ -277,7 +272,7 @@ TopKResult FindTopK(const index::CrackingRTree& tree,
     obs::Span seed_span(trace, "seed");
     util::ArenaVector<uint32_t> seeds{
         util::ArenaAllocator<uint32_t>(&arena)};
-    SeedCandidates(tree, *element, q.s2, k, skip, seeds);
+    SeedCandidates(tree, *element, q.s2, k, visited, seeds);
     seed_span.SetAttr("seeds", static_cast<double>(seeds.size()));
     examine({seeds.data(), seeds.size()}, /*enforce=*/false);
   }
@@ -357,7 +352,7 @@ TopKResult RTreeTopKEngine::TopKQuery(const data::Query& query, size_t k,
   span.SetAttr("k", static_cast<double>(k));
   util::QueryControl& control = ctx.control();
   ctx.arena().Reset();
-  const std::function<bool(uint32_t)> skip = MakeSkipFn(*graph_, query);
+  const SkipFn skip = MakeSkipFn(*graph_, query);
   const ProjectedQuery q = ProjectQuery(*store_, *jl_, query, ctx);
   if (store_->num_entities() == 0 || k == 0) return {};
 

@@ -1,7 +1,7 @@
 #ifndef VKG_QUERY_TOPK_ENGINE_H_
 #define VKG_QUERY_TOPK_ENGINE_H_
 
-#include <functional>
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,10 +37,29 @@ struct TopKResult {
 };
 
 /// Skip predicate of the E'-only query semantics (Section II): the
-/// anchor itself and entities already connected to it by `relation` in E
-/// are not answers.
-std::function<bool(uint32_t)> MakeSkipFn(const kg::KnowledgeGraph& graph,
-                                         const data::Query& query);
+/// anchor itself and the entities E already links to it by `relation`
+/// are not answers. A value over the graph's live neighbour list, valid
+/// until the graph next changes.
+struct SkipFn {
+  kg::EntityId anchor = kg::kInvalidEntity;
+  std::span<const kg::EntityId> known;  // ascending
+
+  bool operator()(uint32_t id) const {
+    return id == anchor || std::binary_search(known.begin(), known.end(), id);
+  }
+
+  /// Stamps every skipped id below `n`, so a walk that drops ids already
+  /// stamped needs no per-candidate test.
+  void StampInto(const QueryContext::Stamped& visited, size_t n) const {
+    if (anchor < n) visited.stamps[anchor] = visited.stamp;
+    for (kg::EntityId id : known) {
+      if (id >= n) break;
+      visited.stamps[id] = visited.stamp;
+    }
+  }
+};
+
+SkipFn MakeSkipFn(const kg::KnowledgeGraph& graph, const data::Query& query);
 
 /// A query center in S1 and its JL projection in S2. The S1 vector lives
 /// in the query arena of the context it was projected with.
@@ -60,14 +79,15 @@ ProjectedQuery ProjectQuery(const embedding::EmbeddingStore& store,
 /// best-first while r_q = r_k* (1 + eps) shrinks (traced as "probe",
 /// "seed" and "frontier"). Draws its scratch from ctx's arena without
 /// resetting it and shares ctx's control block, so the aggregate engine
-/// runs it (k = 1) inside its own query to find d_min. Records no metrics
-/// and never cracks. Returns the answer with its quality and writes the
-/// final r_q to *radius. Requires k >= 1 and a non-empty store.
+/// runs it (k = 1) inside its own query to find d_min. Begins ctx's visit
+/// stamps with `skip`'s ids already stamped, so no candidate is tested
+/// against the graph. Records no metrics and never cracks. Returns the
+/// answer with its quality and writes the final r_q to *radius. Requires
+/// k >= 1 and a non-empty store.
 TopKResult FindTopK(const index::CrackingRTree& tree,
                     const embedding::EmbeddingStore& store,
                     const ProjectedQuery& q, size_t k, double eps,
-                    const std::function<bool(uint32_t)>& skip,
-                    QueryContext& ctx, double* radius);
+                    const SkipFn& skip, QueryContext& ctx, double* radius);
 
 /// Interface implemented by every compared method.
 ///
@@ -113,8 +133,13 @@ class TopKEngine {
 };
 
 /// InvalidArgument when `query` references an entity or relation outside
-/// the engine's graph (such ids would trip internal invariants deep in
-/// the query path). OK for engines that expose no graph.
+/// `graph` (such ids would trip internal invariants deep in the query
+/// path).
+util::Status ValidateQuery(const kg::KnowledgeGraph& graph,
+                           const data::Query& query);
+
+/// ValidateQuery over the engine's graph; OK for engines that expose no
+/// graph.
 util::Status ValidateQuery(const TopKEngine& engine,
                            const data::Query& query);
 

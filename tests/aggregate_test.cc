@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/virtual_graph.h"
 #include "data/movielens_gen.h"
 #include "data/workload.h"
 #include "obs/metrics.h"
@@ -177,6 +178,34 @@ TEST(AggregateIndexTest, ValidationErrors) {
             util::StatusCode::kInvalidArgument);
   spec = s.Spec(AggKind::kCount, 1.5);
   EXPECT_FALSE(s.engine->Aggregate(spec).ok());
+}
+
+// Ids outside the graph are rejected before they reach the embedding
+// store or the visit stamps, whose bounds checks would abort.
+TEST(AggregateIndexTest, OutOfRangeIdsAreInvalidArgument) {
+  ControlledSetup s;
+  auto vkg = core::VirtualKnowledgeGraph::BuildWithEmbeddings(
+      &s.graph, s.store, core::VkgOptions{});
+  ASSERT_TRUE(vkg.ok()) << vkg.status().ToString();
+  const auto bad_anchor =
+      static_cast<kg::EntityId>(s.graph.num_entities() + 1000);
+  const auto bad_relation =
+      static_cast<kg::RelationId>(s.graph.num_relations() + 5);
+  for (const data::Query& query :
+       {data::Query{bad_anchor, 0, kg::Direction::kTail},
+        data::Query{0, bad_relation, kg::Direction::kHead},
+        data::Query{bad_anchor, bad_relation, kg::Direction::kTail}}) {
+    AggregateSpec spec = s.Spec(AggKind::kCount, 0.25, /*sample=*/3);
+    spec.query = query;
+    EXPECT_EQ(s.engine->Aggregate(spec).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ(s.engine->ExactAggregate(spec).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ((*vkg)->Aggregate(spec).status().code(),
+              util::StatusCode::kInvalidArgument);
+    EXPECT_EQ((*vkg)->ExactAggregate(spec).status().code(),
+              util::StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AggregateIndexTest, MissingAttributesAreExcluded) {

@@ -13,10 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "index/cracking_rtree.h"
 #include "index/factory.h"
@@ -206,6 +209,132 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Answers `queries` in order on a fresh cracking tree over `fixture`:
+// top-k at k = 1, 10 and 40, then COUNT at a = 32 and SUM over the whole
+// ball. Checks the E'-only semantics on every hit and returns the digest.
+uint64_t DigestQueries(const DigestFixture& fixture,
+                       const std::vector<data::Query>& queries) {
+  index::RTreeConfig config;
+  config.leaf_capacity = 16;
+  config.fanout = 4;
+  index::CrackingRTree tree(fixture.points.get(), config);
+  const RTreeTopKEngine topk(&fixture.graph, &fixture.store, &fixture.jl,
+                             &tree, /*eps=*/1.0, /*crack_after_query=*/true,
+                             "crack");
+  const AggregateEngine aggregate(&fixture.graph, &fixture.store,
+                                  &fixture.jl, &tree, /*eps=*/1.0,
+                                  /*crack_after_query=*/true);
+  AnswerDigest digest;
+  for (const data::Query& query : queries) {
+    for (size_t k : {1, 10, 40}) {
+      const TopKResult r = topk.TopKQuery(query, k);
+      for (const TopKHit& hit : r.hits) {
+        const bool known =
+            query.direction == kg::Direction::kTail
+                ? fixture.graph.HasEdge(query.anchor, query.relation,
+                                        hit.entity)
+                : fixture.graph.HasEdge(hit.entity, query.relation,
+                                        query.anchor);
+        EXPECT_FALSE(known || hit.entity == query.anchor)
+            << "anchor " << query.anchor << " hit " << hit.entity;
+      }
+      DigestTopK(r, digest);
+    }
+    AggregateSpec spec;
+    spec.query = query;
+    spec.attribute = "value";
+    spec.prob_threshold = 0.15;
+    spec.kind = AggKind::kCount;
+    spec.sample_size = 32;
+    DigestAggregate(aggregate.Aggregate(spec), digest);
+    spec.kind = AggKind::kSum;
+    spec.sample_size = 0;
+    DigestAggregate(aggregate.Aggregate(spec), digest);
+  }
+  return digest.value();
+}
+
+// The `count` entities nearest the query center in S1, anchor excluded.
+std::vector<kg::EntityId> Nearest(const DigestFixture& fixture,
+                                  const data::Query& query, size_t count) {
+  const std::vector<float> center = fixture.store.QueryCenter(
+      query.anchor, query.relation, query.direction);
+  std::vector<std::pair<double, kg::EntityId>> by_distance;
+  for (kg::EntityId e = 0; e < kEntities; ++e) {
+    if (e == query.anchor) continue;
+    double d2 = 0.0;
+    std::span<const float> x = fixture.store.Entity(e);
+    for (size_t d = 0; d < kDim; ++d) {
+      const double diff = static_cast<double>(x[d]) - center[d];
+      d2 += diff * diff;
+    }
+    by_distance.emplace_back(d2, e);
+  }
+  std::sort(by_distance.begin(), by_distance.end());
+  std::vector<kg::EntityId> nearest;
+  for (size_t i = 0; i < count; ++i) nearest.push_back(by_distance[i].second);
+  return nearest;
+}
+
+// Anchors whose known neighbours outnumber one 256-id examine block and
+// crowd the query center: entity 0 already links by r1 to the 400
+// entities nearest its tail query, and the 300 entities nearest entity
+// 1's head query link to it.
+TEST(EngineDigestEdgeCases, HubAnchorIsPinned) {
+  DigestFixture fixture;
+  const data::Query tail_query{0, 1, kg::Direction::kTail};
+  const data::Query head_query{1, 1, kg::Direction::kHead};
+  for (kg::EntityId t : Nearest(fixture, tail_query, 400)) {
+    fixture.graph.AddEdge(0, 1, t);
+  }
+  for (kg::EntityId h : Nearest(fixture, head_query, 300)) {
+    fixture.graph.AddEdge(h, 1, 1);
+  }
+  const uint64_t digest =
+      DigestQueries(fixture, {tail_query, head_query, tail_query});
+  EXPECT_EQ(Hex(digest), Hex(0xa10464ddc4b69152));
+}
+
+// Edges added after the engines and the tree exist: each query's best
+// answer becomes a known fact and must drop out of the next answer.
+TEST(EngineDigestEdgeCases, EdgeAddedAfterBuildIsPinned) {
+  DigestFixture fixture;
+  std::vector<data::Query> queries;
+  util::Rng rng(22);
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(
+        {static_cast<kg::EntityId>(rng.NextU64() % kEntities),
+         static_cast<kg::RelationId>(i % 2),
+         i % 3 == 0 ? kg::Direction::kHead : kg::Direction::kTail});
+  }
+  index::RTreeConfig config;
+  config.leaf_capacity = 16;
+  config.fanout = 4;
+  index::CrackingRTree tree(fixture.points.get(), config);
+  const RTreeTopKEngine topk(&fixture.graph, &fixture.store, &fixture.jl,
+                             &tree, /*eps=*/1.0, /*crack_after_query=*/true,
+                             "crack");
+  AnswerDigest digest;
+  for (const data::Query& query : queries) {
+    const TopKResult before = topk.TopKQuery(query, 10);
+    ASSERT_FALSE(before.hits.empty());
+    const kg::EntityId best = before.hits[0].entity;
+    if (query.direction == kg::Direction::kTail) {
+      ASSERT_TRUE(fixture.graph.AddEdge(query.anchor, query.relation, best));
+    } else {
+      ASSERT_TRUE(fixture.graph.AddEdge(best, query.relation, query.anchor));
+    }
+    const TopKResult after = topk.TopKQuery(query, 10);
+    for (const TopKHit& hit : after.hits) EXPECT_NE(hit.entity, best);
+    DigestTopK(before, digest);
+    DigestTopK(after, digest);
+  }
+  // The grown graph through a fresh tree: aggregates included.
+  const uint64_t queries_digest = DigestQueries(fixture, queries);
+  digest.Add(queries_digest);
+  EXPECT_EQ(Hex(digest.value()), Hex(0x51bc6bc7e232d6ba));
+}
 
 }  // namespace
 }  // namespace vkg::query

@@ -6,6 +6,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <span>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -88,6 +91,60 @@ TEST(TripleStoreTest, MaskMoreThanSize) {
   util::Rng rng(1);
   EXPECT_EQ(s.MaskRandom(5, rng).size(), 1u);
   EXPECT_TRUE(s.empty());
+}
+
+// Seeded random Add, duplicate Add and MaskRandom steps: after each one,
+// every neighbour list equals the set derived from triples(), and
+// Contains agrees with it.
+TEST(TripleStoreTest, KnownTracksTriplesUnderMutation) {
+  constexpr EntityId kEntities = 9;
+  constexpr RelationId kRelations = 3;
+  TripleStore s;
+  util::Rng rng(31);
+  for (int step = 0; step < 300; ++step) {
+    const uint64_t op = rng.NextU64() % 10;
+    if (op < 6) {
+      const Triple t{static_cast<EntityId>(rng.NextU64() % kEntities),
+                     static_cast<RelationId>(rng.NextU64() % kRelations),
+                     static_cast<EntityId>(rng.NextU64() % kEntities)};
+      const bool fresh = !s.Contains(t);
+      EXPECT_EQ(s.Add(t), fresh);
+    } else if (op < 8 && !s.empty()) {
+      EXPECT_FALSE(s.Add(s.at(rng.UniformIndex(s.size()))));
+    } else {
+      s.MaskRandom(1 + rng.NextU64() % 3, rng);
+    }
+
+    std::set<std::tuple<EntityId, RelationId, EntityId>> facts;
+    for (const Triple& t : s.triples()) {
+      facts.emplace(t.head, t.relation, t.tail);
+    }
+    ASSERT_EQ(facts.size(), s.size()) << "step " << step;
+    for (EntityId e = 0; e < kEntities; ++e) {
+      for (RelationId r = 0; r < kRelations; ++r) {
+        std::set<EntityId> tails, heads;
+        for (EntityId x = 0; x < kEntities; ++x) {
+          const bool out = facts.count({e, r, x}) > 0;
+          const bool in = facts.count({x, r, e}) > 0;
+          if (out) tails.insert(x);
+          if (in) heads.insert(x);
+          EXPECT_EQ(s.Contains({e, r, x}), out);
+        }
+        std::span<const EntityId> known_tails =
+            s.Known(e, r, Direction::kTail);
+        std::span<const EntityId> known_heads =
+            s.Known(e, r, Direction::kHead);
+        EXPECT_EQ(std::set<EntityId>(known_tails.begin(), known_tails.end()),
+                  tails)
+            << "step " << step << " e " << e << " r " << r;
+        EXPECT_EQ(std::set<EntityId>(known_heads.begin(), known_heads.end()),
+                  heads)
+            << "step " << step << " e " << e << " r " << r;
+        EXPECT_EQ(known_tails.size(), tails.size());
+        EXPECT_EQ(known_heads.size(), heads.size());
+      }
+    }
+  }
 }
 
 // --- KnowledgeGraph --------------------------------------------------------------

@@ -37,17 +37,34 @@ class TopKEngineTest : public ::testing::Test {
 data::Dataset* TopKEngineTest::ds_ = nullptr;
 std::vector<data::Query>* TopKEngineTest::workload_ = nullptr;
 
-TEST_F(TopKEngineTest, SkipFnExcludesAnchorAndNeighbors) {
-  const data::Query& q = (*workload_)[0];
-  auto skip = MakeSkipFn(ds_->graph, q);
-  EXPECT_TRUE(skip(q.anchor));
-  for (const kg::Triple& t : ds_->graph.triples().triples()) {
-    if (t.relation != q.relation) continue;
-    if (q.direction == kg::Direction::kTail && t.head == q.anchor) {
-      EXPECT_TRUE(skip(t.tail));
-    }
-    if (q.direction == kg::Direction::kHead && t.tail == q.anchor) {
-      EXPECT_TRUE(skip(t.head));
+// Differential: the neighbour-list predicate skips exactly the anchor
+// and the ids the graph's triples link to it by the query's relation,
+// for every entity, in both directions, and stamps exactly that set.
+TEST_F(TopKEngineTest, SkipFnMatchesTriples) {
+  const size_t n = ds_->graph.num_entities();
+  QueryContext ctx;
+  for (const data::Query& workload_query : *workload_) {
+    for (kg::Direction dir : {kg::Direction::kTail, kg::Direction::kHead}) {
+      data::Query q = workload_query;
+      q.direction = dir;
+      std::vector<bool> expected(n, false);
+      expected[q.anchor] = true;
+      for (const kg::Triple& t : ds_->graph.triples().triples()) {
+        if (t.relation != q.relation) continue;
+        if (dir == kg::Direction::kTail && t.head == q.anchor) {
+          expected[t.tail] = true;
+        }
+        if (dir == kg::Direction::kHead && t.tail == q.anchor) {
+          expected[t.head] = true;
+        }
+      }
+      const SkipFn skip = MakeSkipFn(ds_->graph, q);
+      const QueryContext::Stamped visited = ctx.BeginQuery(n);
+      skip.StampInto(visited, n);
+      for (kg::EntityId e = 0; e < n; ++e) {
+        ASSERT_EQ(skip(e), expected[e]) << "anchor " << q.anchor << " e " << e;
+        ASSERT_EQ(visited.stamps[e] == visited.stamp, expected[e]);
+      }
     }
   }
 }
