@@ -119,25 +119,18 @@ int Run() {
              " queries, k=" + std::to_string(k) + ", " +
              std::to_string(config.shards) + " shards)");
 
-  // --- Converge the shard trees so warm-vs-cold compares steady states:
-  // passes crack the trees until a full pass publishes nothing, at
-  // which point generations stop moving and cache entries stay valid.
+  // --- Converge the tree so warm-vs-cold compares steady states: passes
+  // crack it until a full pass publishes nothing, at which point the
+  // generation stops moving and cache entries stay valid.
   size_t converge_passes = 0;
   for (; converge_passes < 64; ++converge_passes) {
-    std::vector<uint64_t> before(srv.num_shards());
-    for (size_t s = 0; s < srv.num_shards(); ++s) {
-      before[s] = srv.ShardGeneration(s);
-    }
+    const uint64_t before = srv.Stats().generation;
     RunPass(srv, queries, k, /*bypass_cache=*/true);
-    bool stable = true;
-    for (size_t s = 0; s < srv.num_shards(); ++s) {
-      if (srv.ShardGeneration(s) != before[s]) stable = false;
-    }
-    if (stable) break;
+    if (srv.Stats().generation == before) break;
   }
   std::printf("converged after %zu warmup passes\n", converge_passes + 1);
 
-  // --- Cold: every request computes on the converged trees.
+  // --- Cold: every request computes on the converged tree.
   server::ServerStats before = srv.Stats();
   double cold_ms = RunPass(srv, queries, k, /*bypass_cache=*/true);
   server::ServerStats after = srv.Stats();

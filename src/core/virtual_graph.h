@@ -39,10 +39,12 @@ namespace vkg::core {
 /// traverse immutable epoch-published tree versions lock-free and the
 /// cracking R-tree serializes that mutation on a writer-side mutex
 /// (DESIGN.md §6f). BatchTopK / BatchAggregate below exploit this by
-/// fanning a query span over options.query_threads workers. Dynamic
-/// updates (UpdateEntityEmbedding / CompactUpdates / LoadIndex) swap
-/// engine state and must still be externally synchronized against
-/// in-flight queries.
+/// fanning a query span over options.query_threads workers, and a
+/// server::VkgServer's shard workers compute on the same engines and
+/// tree. Dynamic updates (UpdateEntityEmbedding / CompactUpdates /
+/// LoadIndex) swap engine state and must still be externally
+/// synchronized against in-flight queries; a VkgServer holding this VKG
+/// offers no such point, so they are unsupported while it serves.
 class VirtualKnowledgeGraph {
  public:
   /// Builds from precomputed S1 embeddings (the paper's setting: the
@@ -148,7 +150,7 @@ class VirtualKnowledgeGraph {
 
   /// Rebuilds the transform target points and the index from the current
   /// embeddings and clears the overlay. The new cracking index is empty
-  /// and re-cracks on demand.
+  /// and re-cracks on demand. Not while a VkgServer serves this VKG.
   util::Status CompactUpdates();
 
   // --- Point predictions ----------------------------------------------------
@@ -167,7 +169,8 @@ class VirtualKnowledgeGraph {
   util::Status SaveIndex(const std::string& path) const;
 
   /// Replaces the current R-tree with one previously saved over the same
-  /// embeddings/options and rebinds the query engines to it.
+  /// embeddings/options and rebinds the query engines to it. Load before
+  /// creating a VkgServer over this VKG, never while one serves it.
   util::Status LoadIndex(const std::string& path);
 
   // --- Introspection --------------------------------------------------------
@@ -175,17 +178,18 @@ class VirtualKnowledgeGraph {
   const kg::KnowledgeGraph& graph() const { return *graph_; }
   const embedding::EmbeddingStore& embeddings() const { return store_; }
   const transform::JlTransform& jl() const { return *jl_; }
-  /// The transformed S2 point set the index is built over. Shared by the
-  /// query server's worker shards: each shard builds its *own*
-  /// CrackingRTree over this one point set (points are immutable after
-  /// Initialize; CompactUpdates() rebuilds them and must be externally
-  /// synchronized against anything holding this reference — the server
-  /// keeps the VKG handle alive via shared ownership and never compacts
-  /// while serving).
-  const index::PointSet& points_s2() const { return *points_s2_; }
   index::IndexStats IndexStats() const { return rtree_->Stats(); }
   const VkgOptions& options() const { return options_; }
   const index::CrackingRTree& rtree() const { return *rtree_; }
+  /// The engines behind TopK and Aggregate, for callers that bring their
+  /// own QueryContext: the query server's shard workers compute on
+  /// these, so serving refines this VKG's one tree. LoadIndex and
+  /// CompactUpdates replace them (and the tree), so re-read them per
+  /// query and never run either while another thread queries.
+  const query::TopKEngine& topk_engine() const { return *topk_engine_; }
+  const query::AggregateEngine& aggregate_engine() const {
+    return *aggregate_engine_;
+  }
 
  private:
   VirtualKnowledgeGraph(const kg::KnowledgeGraph* graph,

@@ -5,7 +5,7 @@ namespace vkg::embedding {
 namespace {
 
 // Rank of `target_score` among corruptions of one side of `t`.
-size_t RankOneSide(const KgeModel& model, const kg::KnowledgeGraph& graph,
+size_t RankOneSide(const TransE& model, const kg::KnowledgeGraph& graph,
                    const kg::Triple& t, bool corrupt_tail, bool filtered) {
   const double target_score = model.Score(t);
   size_t rank = 1;
@@ -28,7 +28,7 @@ size_t RankOneSide(const KgeModel& model, const kg::KnowledgeGraph& graph,
 }  // namespace
 
 LinkPredictionMetrics EvaluateLinkPrediction(
-    const KgeModel& model, const kg::KnowledgeGraph& graph,
+    const TransE& model, const kg::KnowledgeGraph& graph,
     const std::vector<kg::Triple>& test_triples, bool filtered) {
   LinkPredictionMetrics m;
   m.num_test_triples = test_triples.size();

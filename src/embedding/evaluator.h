@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "embedding/model.h"
+#include "embedding/transe.h"
 #include "kg/graph.h"
 
 namespace vkg::embedding {
@@ -19,12 +19,12 @@ struct LinkPredictionMetrics {
   size_t num_test_triples = 0;
 };
 
-/// Evaluates a trained model on held-out triples.
+/// Evaluates a trained TransE model on held-out triples.
 ///
 /// `filtered` removes corruptions that are themselves known facts in E
 /// before ranking ("filtered" setting of the TransE paper).
 LinkPredictionMetrics EvaluateLinkPrediction(
-    const KgeModel& model, const kg::KnowledgeGraph& graph,
+    const TransE& model, const kg::KnowledgeGraph& graph,
     const std::vector<kg::Triple>& test_triples, bool filtered = true);
 
 }  // namespace vkg::embedding

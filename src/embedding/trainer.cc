@@ -1,11 +1,8 @@
 #include "embedding/trainer.h"
 
 #include <atomic>
-#include <memory>
 #include <thread>
 
-#include "embedding/transa.h"
-#include "embedding/transh.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -28,15 +25,7 @@ util::Result<EmbeddingStore> Trainer::Train(
   util::Rng init_rng(config_.seed);
   store.RandomInitialize(init_rng);
 
-  std::unique_ptr<KgeModel> model;
-  if (config_.model == ModelKind::kTransH) {
-    util::Rng normal_rng(config_.seed ^ 0x7f4a7c15ull);
-    model = std::make_unique<TransH>(&store, normal_rng);
-  } else if (config_.model == ModelKind::kTransA) {
-    model = std::make_unique<TransA>(&store);
-  } else {
-    model = std::make_unique<TransE>(&store, config_.norm);
-  }
+  TransE model(&store, config_.norm);
   NegativeSampler sampler(graph_, config_.corruption);
   const auto& triples = graph_.triples().triples();
 
@@ -54,7 +43,7 @@ util::Result<EmbeddingStore> Trainer::Train(
   }
 
   for (size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    model->BeginEpoch();
+    model.NormalizeEntities();
     std::atomic<double> total_loss{0.0};
     const size_t n = triples.size();
     const size_t chunk = (n + threads - 1) / threads;
@@ -67,8 +56,8 @@ util::Result<EmbeddingStore> Trainer::Train(
         util::Rng& rng = rngs[s];
         for (size_t i = begin; i < end; ++i) {
           kg::Triple neg = sampler.Corrupt(triples[i], rng);
-          local += model->Step(triples[i], neg, config_.margin,
-                               config_.learning_rate);
+          local += model.Step(triples[i], neg, config_.margin,
+                              config_.learning_rate);
         }
         // C++20 atomic<double>::fetch_add.
         total_loss.fetch_add(local);

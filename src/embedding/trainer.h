@@ -11,12 +11,8 @@
 
 namespace vkg::embedding {
 
-/// Which embedding model the trainer optimizes.
-enum class ModelKind { kTransE, kTransH, kTransA };
-
-/// Hyperparameters for margin-ranking-loss training.
+/// Hyperparameters for TransE margin-ranking-loss training.
 struct TrainerConfig {
-  ModelKind model = ModelKind::kTransE;
   size_t dim = 50;
   size_t epochs = 50;
   double learning_rate = 0.01;
@@ -33,7 +29,7 @@ struct EpochStats {
   double mean_loss = 0.0;  // mean hinge loss over all positive triples
 };
 
-/// Margin-ranking-loss SGD trainer producing an EmbeddingStore.
+/// TransE margin-ranking-loss SGD trainer producing an EmbeddingStore.
 ///
 /// This is the paper's algorithm A: a knowledge-graph embedding scheme
 /// trained on the observed edges E, whose geometry then *induces* the

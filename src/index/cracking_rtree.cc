@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
@@ -167,11 +166,15 @@ void CrackingRTree::Crack(const Rect& query, util::QueryControl* control,
   // already makes it safe against concurrent readers.
   EnsureOrders();
   // Writers serialize on crack_mu_; readers never touch it, so
-  // crack_waits counts writer-writer contention only. Waiting polls in
-  // small slices: between slices the crack re-checks the caller's
-  // deadline/cancel (degrading beats stalling — the query's answer
-  // never needs this crack) and whether a concurrent crack just
-  // published a covering region (then this one is a no-op).
+  // crack_waits counts writer-writer contention only. Waiting blocks in
+  // bounded slices that end early when the holder unlocks: between
+  // slices the crack re-checks the caller's deadline/cancel (degrading
+  // beats stalling — the query's answer never needs this crack) and
+  // whether a concurrent crack just published a covering region (then
+  // this one is a no-op). The slice ends at a system_clock time point,
+  // so libstdc++ waits in pthread_mutex_timedlock, which TSan
+  // intercepts; try_lock_for's pthread_mutex_clocklock is invisible to
+  // GCC 12's TSan, which then reports every crack as a race.
   if (!crack_mu_.try_lock()) {
     crack_waits_.fetch_add(1, std::memory_order_relaxed);
     CrackMetrics::Get().waits.Inc();
@@ -189,11 +192,13 @@ void CrackingRTree::Crack(const Rect& query, util::QueryControl* control,
         span.SetAttr("outcome", "coalesced");
         return;
       }
-      if (crack_mu_.try_lock()) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (crack_mu_.try_lock_until(std::chrono::system_clock::now() +
+                                   std::chrono::microseconds(200))) {
+        break;
+      }
     }
   }
-  std::lock_guard<std::mutex> lock(crack_mu_, std::adopt_lock);
+  std::lock_guard<std::timed_mutex> lock(crack_mu_, std::adopt_lock);
   obs::ScopedLatencyUs crack_timer(CrackMetrics::Get().crack_us);
   // Publication failpoint: `fail` abandons the crack before any new
   // version is built (readers keep the pre-crack tree); `delay` stalls
@@ -372,7 +377,7 @@ bool CrackingRTree::SplitPartitionCow(const Node& source, Node* dest,
 void CrackingRTree::BuildFull() {
   if (points_->empty()) return;
   EnsureOrders();
-  std::lock_guard<std::mutex> lock(crack_mu_);
+  std::lock_guard<std::timed_mutex> lock(crack_mu_);
   // The bulk load is a crack of the whole space (no query region, no
   // control) without stopping conditions: every partition splits with
   // the classic cost.

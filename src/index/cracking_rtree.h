@@ -270,7 +270,7 @@ class CrackingRTree {
 
   /// Serializes writers (cracks, BuildFull, Load-into). Readers never
   /// touch it.
-  mutable std::mutex crack_mu_;
+  mutable std::timed_mutex crack_mu_;
 
   /// Ring of recently published (complete) crack regions, used to
   /// coalesce duplicate cracks. Lock-free on the read side: slots hold

@@ -71,7 +71,7 @@ struct ServerMeta {
   /// Attached to an identical in-flight computation instead of
   /// computing again.
   bool coalesced = false;
-  /// Crack generation of the owning shard's tree that the answer is
+  /// Crack generation of the VKG's tree that the answer is
   /// valid for (the cache-invalidation stamp, DESIGN.md §6g).
   uint64_t generation = 0;
   /// For rejected requests: suggested back-off before retrying. One

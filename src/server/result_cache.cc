@@ -15,8 +15,8 @@ std::optional<ResultCache::Entry> ResultCache::Lookup(
     return std::nullopt;
   }
   if (entry->generation != current_generation) {
-    // Stale under the invalidation contract: a publication on this
-    // shard's tree happened after the entry was stamped. Never serve
+    // Stale under the invalidation contract: a publication on the
+    // tree happened after the entry was stamped. Never serve
     // it; evict so the slot is reusable immediately.
     lru_.Erase(key);
     invalidated_.fetch_add(1, std::memory_order_relaxed);

@@ -13,16 +13,15 @@ namespace vkg::server {
 
 /// One shard's segment of the server's result cache: a bounded LRU of
 /// exact top-k results, each stamped with the crack generation of the
-/// owning shard's tree it was computed against (DESIGN.md §6g).
+/// VKG's tree it was computed against (DESIGN.md §6g).
 ///
 /// Invalidation contract: an entry is served only while its stamp
 /// equals the tree's *current* crack generation. A crack publication
 /// bumps the generation, so every entry stamped earlier becomes
 /// unservable at that instant — Lookup() treats it as a miss and
 /// erases it (lazy), and InvalidateStale() sweeps a whole segment
-/// (eager, called by the shard right after it observes a bump). Only
-/// entries of the shard whose tree published are touched: segments are
-/// per-shard, so "evict exactly the stale entries" is structural.
+/// (eager, run by the server on every segment right after it observes
+/// a bump).
 ///
 /// Only *exact* results (quality.exact, no stop reason) are stored:
 /// degraded answers depend on the requester's deadline/budget and must

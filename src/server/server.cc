@@ -1,6 +1,8 @@
 #include "server/server.h"
 
 #include <chrono>
+#include <exception>
+#include <new>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -80,6 +82,14 @@ util::Deadline AdmissionDeadline(const query::ServerRequest& request,
                   : util::Deadline::Infinite();
 }
 
+// One reusable context per worker thread: shard pools own their
+// threads, so a context never serves two shards, and
+// ApplyRequestControlAbsolute rearms deadline/budget per request.
+query::QueryContext& WorkerContext() {
+  thread_local query::QueryContext ctx;
+  return ctx;
+}
+
 // Whether a compute outcome speaks to shard health (breaker failure) or
 // not (success resets the streak; everything else is dismissed).
 bool IsShardFailure(const util::Status& status) {
@@ -125,6 +135,13 @@ VkgServer::VkgServer(std::shared_ptr<core::VirtualKnowledgeGraph> vkg,
   const auto method = static_cast<uint32_t>(opts.method);
   opts_hash_ = query::HashBytes(&method, sizeof(method), opts_hash_);
 
+  pressure_budget_ = config_.pressure_budget;
+  if (pressure_budget_.Unlimited()) {
+    // "Forced into budgeted mode" must actually bound work even when the
+    // operator never picked a number.
+    pressure_budget_.max_points = 4096;
+  }
+
   ShardOptions shard_options;
   shard_options.threads = config_.threads_per_shard;
   shard_options.queue_capacity = config_.queue_capacity;
@@ -135,19 +152,11 @@ VkgServer::VkgServer(std::shared_ptr<core::VirtualKnowledgeGraph> vkg,
     shard_options.cache_bytes = 1;
   }
   shard_options.cache_entries = config_.cache_entries;
-  shard_options.default_deadline_ms = config_.default_deadline_ms;
-  shard_options.default_budget = config_.default_budget;
   shard_options.breaker = config_.breaker;
-  shard_options.pressure_budget = config_.pressure_budget;
-  if (shard_options.pressure_budget.Unlimited()) {
-    // "Forced into budgeted mode" must actually bound work even when the
-    // operator never picked a number.
-    shard_options.pressure_budget.max_points = 4096;
-  }
   cache_segment_bytes_ = shard_options.cache_bytes;
   shards_.reserve(config_.shards);
   for (size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, *vkg_, shard_options));
+    shards_.push_back(std::make_unique<Shard>(i, shard_options));
   }
 }
 
@@ -159,8 +168,8 @@ size_t VkgServer::ShardOf(const data::Query& query) const {
   return static_cast<size_t>(h % shards_.size());
 }
 
-uint64_t VkgServer::ShardGeneration(size_t shard) const {
-  return shards_[shard]->generation();
+uint64_t VkgServer::ShardGeneration(size_t /*shard*/) const {
+  return Generation();
 }
 
 query::QueryKey VkgServer::MakeKey(
@@ -274,11 +283,11 @@ void VkgServer::SubmitImpl(query::ServerRequest request, Completion done,
   }
   const bool pressure_degrade = pressure >= PressureLevel::kDegraded;
 
-  // 3. Route to the owning shard, then validate against its engine.
+  // 3. Route to the owning shard, then validate against the graph.
   const size_t shard_index = ShardOf(request.routing_query());
   Shard& shard = *shards_[shard_index];
   util::Status valid =
-      query::ValidateQuery(shard.topk_engine(), request.routing_query());
+      query::ValidateQuery(vkg_->graph(), request.routing_query());
   if (valid.ok() && request.kind == query::RequestKind::kTopK &&
       request.k == 0) {
     valid = util::Status::InvalidArgument("k must be >= 1");
@@ -350,7 +359,7 @@ void VkgServer::SubmitImpl(query::ServerRequest request, Completion done,
 
   const query::QueryKey key = MakeKey(request);
 
-  // 7. Result cache, guarded by the shard tree's crack generation. The
+  // 7. Result cache, guarded by the VKG tree's crack generation. The
   // injected cache fault (`server.cache`) poisons exactly this
   // request's lookup.
   if (VKG_FAILPOINT("server.cache")) {
@@ -361,7 +370,7 @@ void VkgServer::SubmitImpl(query::ServerRequest request, Completion done,
   }
   if (!request.bypass_cache) {
     std::optional<ResultCache::Entry> hit =
-        shard.cache().Lookup(key, shard.generation());
+        shard.cache().Lookup(key, Generation());
     if (hit.has_value()) {
       shard.ReleaseSlot();
       metrics.cache_hits.Inc();
@@ -473,17 +482,54 @@ query::ServerResponse VkgServer::ComputeOnWorker(
     return response;
   }
 
-  {
+  try {
     obs::ScopedLatencyUs timer(metrics.compute_us);
     metrics.computed.Inc();
+    query::QueryContext& ctx = WorkerContext();
+    query::ApplyRequestControlAbsolute(request, deadline,
+                                       config_.default_budget, ctx);
+    // Memory pressure forces a budget only onto queries that would
+    // otherwise run unlimited: an explicit request/server budget is
+    // already bounded and is never loosened *or* tightened behind the
+    // caller's back.
+    if (pressure_degrade && ctx.control().budget().Unlimited()) {
+      ctx.control().set_budget(pressure_budget_);
+      response.meta.degraded_by_pressure = true;
+    }
+    // The engines are read per request: LoadIndex and CompactUpdates
+    // rebind them.
     if (key != nullptr) {
       computed_topk_.fetch_add(1, std::memory_order_relaxed);
-      response = shard.ComputeTopK(request, *key, deadline, pressure_degrade);
+      response.topk =
+          vkg_->topk_engine().TopKQuery(request.query, request.k, ctx);
+      // Stamp with the generation current at completion. The query's
+      // own crack (if any) published *before* this read, so the entry is
+      // fresh unless a later publication bumps the generation — at
+      // which point the invalidation contract retires it.
+      response.meta.generation = Generation();
+      response.status = util::Status::OK();
+      shard.cache().Store(*key, response.topk, response.meta.generation);
     } else {
       computed_aggregate_.fetch_add(1, std::memory_order_relaxed);
-      response =
-          shard.ComputeAggregate(request, deadline, pressure_degrade);
+      util::Result<query::AggregateResult> result =
+          vkg_->aggregate_engine().Aggregate(request.aggregate, ctx);
+      response.meta.generation = Generation();
+      if (result.ok()) {
+        response.aggregate = std::move(result).value();
+        response.status = util::Status::OK();
+      } else {
+        response.status = result.status();
+      }
     }
+    SweepStaleCacheEntries();
+  } catch (const std::bad_alloc&) {
+    response.status = util::Status::ResourceExhausted(util::StrFormat(
+        "allocation failed during %s",
+        key != nullptr ? "top-k" : "aggregate"));
+  } catch (const std::exception& e) {
+    response.status = util::Status::Internal(
+        util::StrFormat("%s computation failed: %s",
+                        key != nullptr ? "top-k" : "aggregate", e.what()));
   }
   if (response.meta.degraded_by_pressure) {
     pressure_degraded_.fetch_add(1, std::memory_order_relaxed);
@@ -534,6 +580,20 @@ void VkgServer::Stop() {
   // Submit-side gate are drained by ~ThreadPool, which runs its backlog
   // before joining — no completion is abandoned either way.
   Drain();
+}
+
+void VkgServer::SweepStaleCacheEntries() {
+  const uint64_t current = Generation();
+  uint64_t seen = swept_generation_.load(std::memory_order_relaxed);
+  if (seen == current) return;
+  // One sweeper per bump is enough; racers that lose simply skip (the
+  // lazy Lookup check still guards every read). Any crack retires
+  // every segment's stale entries.
+  if (!swept_generation_.compare_exchange_strong(
+          seen, current, std::memory_order_relaxed)) {
+    return;
+  }
+  for (auto& shard : shards_) shard->cache().InvalidateStale(current);
 }
 
 void VkgServer::RefreshMemoryPressure() {
@@ -587,6 +647,7 @@ ServerStats VkgServer::Stats() const {
       expired_waiting_->load(std::memory_order_relaxed);
   stats.pressure_degraded =
       pressure_degraded_.load(std::memory_order_relaxed);
+  stats.generation = Generation();
   stats.memory = memory_budget_.stats();
   stats.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
@@ -595,7 +656,6 @@ ServerStats VkgServer::Stats() const {
     view.depth = shard->depth();
     view.peak_depth = shard->peak_depth();
     view.in_flight = shard->in_flight();
-    view.generation = shard->generation();
     view.cache = shard->cache().stats();
     view.breaker = shard->breaker().stats();
     stats.cache_hits += view.cache.hits;
@@ -611,6 +671,8 @@ void VkgServer::PublishStats() const {
   reg.GetGauge("vkg_server_shards").Set(static_cast<double>(shards_.size()));
   reg.GetGauge("vkg_server_memory_pressure")
       .Set(static_cast<double>(memory_budget_.level()));
+  reg.GetGauge("vkg_server_generation")
+      .Set(static_cast<double>(Generation()));
   uint64_t trips = 0;
   uint64_t recoveries = 0;
   uint64_t fast_fails = 0;
@@ -627,8 +689,6 @@ void VkgServer::PublishStats() const {
         .Set(static_cast<double>(shard->depth()));
     reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_peak_depth", i))
         .Set(static_cast<double>(shard->peak_depth()));
-    reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_generation", i))
-        .Set(static_cast<double>(shard->generation()));
     reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_cache_entries", i))
         .Set(static_cast<double>(cache.entries));
     reg.GetGauge(util::StrFormat("vkg_server_shard_%zu_cache_bytes", i))

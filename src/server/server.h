@@ -25,8 +25,9 @@ namespace vkg::server {
 /// Configuration of a VkgServer (DESIGN.md §6g).
 struct ServerConfig {
   /// Worker shards. Requests route by hash(anchor, relation), so one
-  /// (h, r) slot always lands on the same shard — its cracked regions,
-  /// cache entries and in-flight computations are all local.
+  /// (h, r) slot always lands on the same shard — its cache entries and
+  /// in-flight computations are local. Every shard computes on the
+  /// VKG's one cracking tree.
   size_t shards = 2;
   /// Worker threads per shard (each shard owns its pool).
   size_t threads_per_shard = 1;
@@ -92,13 +93,15 @@ struct ServerStats {
   uint64_t expired_waiting = 0;
   /// Requests forced into budgeted mode by memory pressure.
   uint64_t pressure_degraded = 0;
+  /// Crack generation of the VKG's tree: the stamp every cache segment
+  /// is checked against.
+  uint64_t generation = 0;
 
   struct ShardView {
     size_t shard = 0;
     size_t depth = 0;
     size_t peak_depth = 0;
     size_t in_flight = 0;
-    uint64_t generation = 0;
     ResultCache::Stats cache;
     CircuitBreaker::Stats breaker;
   };
@@ -158,9 +161,12 @@ class Waiter {
 /// followers). Safe for concurrent Submit/Execute from any number of
 /// threads.
 ///
-/// The server holds shared ownership of the VKG; callers must not run
-/// CompactUpdates / LoadIndex on it while the server is serving (the
-/// shards' engines read its points and embeddings lock-free).
+/// Every shard computes on the VKG's own engines and its one cracking
+/// tree, read from the VKG on every request. The server holds shared
+/// ownership of the VKG; callers must not run CompactUpdates / LoadIndex
+/// on it while the server is serving (both replace the tree and engines
+/// that workers read lock-free, and a reloaded tree restarts the
+/// generation the cache stamps are checked against).
 class VkgServer {
  public:
   static util::Result<std::unique_ptr<VkgServer>> Create(
@@ -222,7 +228,8 @@ class VkgServer {
   size_t ShardOf(const data::Query& query) const;
   size_t num_shards() const { return shards_.size(); }
 
-  /// Crack generation of one shard's tree (cache-invalidation stamp).
+  /// The cache-invalidation stamp `shard` checks against: the crack
+  /// generation of the VKG's tree, one counter shared by every shard.
   uint64_t ShardGeneration(size_t shard) const;
 
   /// The cache/coalescing key `request` computes under (tests, benches).
@@ -253,8 +260,8 @@ class VkgServer {
 
   ServerStats Stats() const;
 
-  /// Mirrors per-shard depth/generation/cache gauges into the global
-  /// obs registry (vkg_server_*; cold path, call before scraping).
+  /// Mirrors the generation and per-shard depth/cache gauges into the
+  /// global obs registry (vkg_server_*; cold path, call before scraping).
   void PublishStats() const;
 
   const ServerConfig& config() const { return config_; }
@@ -271,7 +278,8 @@ class VkgServer {
 
   /// Shard-worker half of the request path: observes queue wait,
   /// expires still-queued requests past their deadline (never
-  /// computing them), runs the engine with the absolute deadline, and
+  /// computing them), runs the VKG's engine with the absolute deadline,
+  /// stores an exact top-k answer in the shard's cache segment, and
   /// feeds the outcome to the shard's breaker. `key` is null for
   /// aggregates (no cache/coalescing).
   query::ServerResponse ComputeOnWorker(Shard& shard,
@@ -281,6 +289,13 @@ class VkgServer {
                                         util::Deadline::Clock::time_point
                                             admit_time,
                                         bool pressure_degrade);
+
+  /// Crack generation of the VKG's tree: every cache stamp.
+  uint64_t Generation() const { return vkg_->rtree().crack_generation(); }
+
+  /// Eagerly sweeps every cache segment once per generation bump; a
+  /// cheap no-op otherwise (Lookup's stamp check guards every read).
+  void SweepStaleCacheEntries();
 
   /// Re-measures usage (cache residency + queue-depth estimate),
   /// updates the pressure level, and applies reversible transitions
@@ -293,6 +308,9 @@ class VkgServer {
   AdmissionController admission_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t cache_segment_bytes_ = 0;  // per-shard byte bound at kNormal
+  /// Budget forced onto otherwise-unlimited queries at kDegraded+.
+  util::ResourceBudget pressure_budget_;
+  std::atomic<uint64_t> swept_generation_{0};
   MemoryBudget memory_budget_;
 
   std::atomic<bool> stopping_{false};

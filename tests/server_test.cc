@@ -2,7 +2,8 @@
 // (DESIGN.md §6g): an N-thread mixed top-k/aggregate storm checked
 // against a sequential oracle, bit-identical cache hits, the
 // generation-invalidation contract ("no cache entry survives a crack
-// publication"), deterministic duplicate coalescing, admission control,
+// publication", on any shard), served answers equal to the facade's on
+// the one shared tree, deterministic duplicate coalescing, admission control,
 // backpressure, and per-request failpoint isolation. Runs under TSan
 // and ASan in CI; VKG_CHAOS_THREADS sweeps the client count.
 //
@@ -12,12 +13,15 @@
 // response must equal the sequential oracle's answer for that query.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,20 +65,67 @@ class ServerTest : public ::testing::Test {
   }
   void TearDown() override { util::FailPointRegistry::Instance().Clear(); }
 
-  // A fresh server over a fresh VKG (each gets its own shard trees, so
-  // tests start from the uncracked state).
-  static std::unique_ptr<VkgServer> MakeServer(const ServerConfig& config) {
+  // A fresh VKG over the suite's dataset: its tree starts uncracked.
+  static std::shared_ptr<core::VirtualKnowledgeGraph> MakeVkg() {
     core::VkgOptions options;
     options.method = index::MethodKind::kCracking;
     embedding::EmbeddingStore copy = ds_->embeddings;
     auto vkg = core::VirtualKnowledgeGraph::BuildWithEmbeddings(
         &ds_->graph, std::move(copy), options);
     EXPECT_TRUE(vkg.ok());
-    auto srv = VkgServer::Create(
-        std::shared_ptr<core::VirtualKnowledgeGraph>(std::move(vkg.value())),
-        config);
+    return std::move(vkg.value());
+  }
+
+  static std::unique_ptr<VkgServer> MakeServer(
+      const ServerConfig& config,
+      std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg()) {
+    auto srv = VkgServer::Create(std::move(vkg), config);
     EXPECT_TRUE(srv.ok());
     return std::move(srv.value());
+  }
+
+  // Runs `requests` uncached through `srv` until a pass publishes no
+  // crack; returns the number of passes (0 when none settled in 16).
+  static size_t CrackToFixedPoint(VkgServer& srv,
+                                  std::vector<query::ServerRequest> requests) {
+    for (auto& r : requests) r.bypass_cache = true;
+    for (size_t pass = 1; pass <= 16; ++pass) {
+      const uint64_t before = srv.Stats().generation;
+      for (const auto& r : requests) EXPECT_TRUE(srv.Execute(r).ok());
+      if (srv.Stats().generation == before) return pass;
+    }
+    return 0;
+  }
+
+  // Every workload slot's request (top-k or COUNT, as RequestFor
+  // decides), asked once per direction.
+  static std::vector<query::ServerRequest> BothDirections() {
+    std::vector<query::ServerRequest> requests;
+    for (size_t i = 0; i < workload_->size(); ++i) {
+      for (kg::Direction d : {kg::Direction::kTail, kg::Direction::kHead}) {
+        query::ServerRequest r = RequestFor(i);
+        r.query.direction = d;
+        r.aggregate.query.direction = d;
+        requests.push_back(r);
+      }
+    }
+    return requests;
+  }
+
+  static void ExpectBitIdentical(const query::TopKResult& got,
+                                 const query::TopKResult& want) {
+    ASSERT_EQ(got.hits.size(), want.hits.size());
+    for (size_t h = 0; h < got.hits.size(); ++h) {
+      EXPECT_EQ(got.hits[h].entity, want.hits[h].entity) << "hit " << h;
+      EXPECT_EQ(std::memcmp(&got.hits[h].distance, &want.hits[h].distance,
+                            sizeof(double)),
+                0)
+          << "hit " << h;
+      EXPECT_EQ(std::memcmp(&got.hits[h].probability,
+                            &want.hits[h].probability, sizeof(double)),
+                0)
+          << "hit " << h;
+    }
   }
 
   // The storm's deterministic request mix: every 5th slot is a COUNT
@@ -235,18 +286,9 @@ TEST_F(ServerTest, CacheHitsAreBitIdentical) {
     }
   }
   ASSERT_TRUE(got_hit) << "no cache hit after 16 attempts";
-  ASSERT_EQ(hit.topk.hits.size(), computed.topk.hits.size());
-  for (size_t h = 0; h < hit.topk.hits.size(); ++h) {
-    // Bit-identical, not approximately equal: a hit replays the stored
-    // computation's bytes.
-    EXPECT_EQ(hit.topk.hits[h].entity, computed.topk.hits[h].entity);
-    EXPECT_EQ(std::memcmp(&hit.topk.hits[h].distance,
-                          &computed.topk.hits[h].distance, sizeof(double)),
-              0);
-    EXPECT_EQ(std::memcmp(&hit.topk.hits[h].probability,
-                          &computed.topk.hits[h].probability, sizeof(double)),
-              0);
-  }
+  // Bit-identical, not approximately equal: a hit replays the stored
+  // computation's bytes.
+  ExpectBitIdentical(hit.topk, computed.topk);
   EXPECT_EQ(hit.meta.generation, computed.meta.generation);
   EXPECT_TRUE(hit.topk.quality.exact);
 }
@@ -257,7 +299,7 @@ TEST_F(ServerTest, NoCacheEntrySurvivesGenerationBump) {
   auto srv = MakeServer(config);
 
   // Cache slot 0's answer, then run other queries until one of them
-  // cracks the (single) shard tree past that entry's stamp.
+  // cracks the tree past that entry's stamp.
   query::ServerResponse first = srv->Execute(RequestFor(0));
   ASSERT_TRUE(first.ok());
   const uint64_t stamped = first.meta.generation;
@@ -281,6 +323,165 @@ TEST_F(ServerTest, NoCacheEntrySurvivesGenerationBump) {
   ServerStats stats = srv->Stats();
   EXPECT_GE(stats.cache_invalidated, 1u)
       << "generation bump invalidated nothing";
+}
+
+TEST_F(ServerTest, OneGenerationRetiresEveryShardsEntries) {
+  ServerConfig config;
+  config.shards = 2;
+  auto srv = MakeServer(config);
+  size_t slot_b = 0;
+  while (slot_b < workload_->size() &&
+         (slot_b % 5 == 4 || srv->ShardOf(RequestFor(slot_b).query) != 1)) {
+    ++slot_b;  // the first top-k slot routed to shard 1
+  }
+  ASSERT_LT(slot_b, workload_->size()) << "no top-k key routes to shard 1";
+
+  // Cache a key on shard 1: repeat it until its own cracks settle and a
+  // request hits.
+  bool cached = false;
+  for (int attempt = 0; attempt < 16 && !cached; ++attempt) {
+    cached = srv->Execute(RequestFor(slot_b)).meta.cache_hit;
+  }
+  ASSERT_TRUE(cached) << "shard 1 never served its key from cache";
+  const uint64_t stamped = srv->Stats().generation;
+
+  // Crack through shard 0 only, on other keys, until the one tree
+  // publishes.
+  bool bumped = false;
+  for (size_t i = 0; i < workload_->size() && !bumped; ++i) {
+    const query::ServerRequest r = RequestFor(i);
+    if (r.kind != query::RequestKind::kTopK) continue;
+    if (srv->ShardOf(r.query) != 0) continue;
+    ASSERT_TRUE(srv->Execute(r).ok());
+    bumped = srv->Stats().generation != stamped;
+  }
+  ASSERT_TRUE(bumped) << "no shard-0 request cracked the tree";
+
+  // Shard 1's entry predates the crack, so it is never served again.
+  query::ServerResponse again = srv->Execute(RequestFor(slot_b));
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again.meta.cache_hit)
+      << "shard 1 served an entry across a crack published via shard 0";
+  const uint64_t tree_generation = srv->vkg().rtree().crack_generation();
+  EXPECT_EQ(srv->Stats().generation, tree_generation);
+  for (size_t s = 0; s < srv->num_shards(); ++s) {
+    EXPECT_EQ(srv->ShardGeneration(s), tree_generation) << "shard " << s;
+  }
+}
+
+TEST_F(ServerTest, ServedAnswersEqualFacadeAnswers) {
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg();
+  ServerConfig config;
+  config.shards = 2;
+  auto srv = MakeServer(config, vkg);
+  const std::vector<query::ServerRequest> requests = BothDirections();
+  ASSERT_GT(CrackToFixedPoint(*srv, requests), 0u);
+
+  // On a settled tree the server and the facade run the same engine on
+  // the same tree version: answers agree to the bit, on every key, in
+  // both directions, whether the server computes or hits its cache.
+  const uint64_t settled = vkg->rtree().crack_generation();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const query::ServerRequest& r : requests) {
+      query::ServerResponse served = srv->Execute(r);
+      ASSERT_TRUE(served.ok()) << served.status.ToString();
+      if (r.kind == query::RequestKind::kTopK) {
+        ExpectBitIdentical(served.topk, vkg->TopK(r.query, r.k));
+      } else {
+        util::Result<query::AggregateResult> direct =
+            vkg->Aggregate(r.aggregate);
+        ASSERT_TRUE(direct.ok());
+        EXPECT_EQ(std::memcmp(&served.aggregate.value, &direct->value,
+                              sizeof(double)),
+                  0);
+        EXPECT_EQ(served.aggregate.accessed, direct->accessed);
+      }
+    }
+  }
+  EXPECT_EQ(vkg->rtree().crack_generation(), settled);
+}
+
+TEST_F(ServerTest, FacadeQueriesRaceServerExecute) {
+  // Oracle: answers from a separate, sequentially driven server.
+  ServerConfig oracle_config;
+  oracle_config.shards = 1;
+  oracle_config.cache_bytes = 0;
+  auto oracle_srv = MakeServer(oracle_config);
+  std::vector<query::ServerResponse> oracle(workload_->size());
+  for (size_t i = 0; i < workload_->size(); ++i) {
+    oracle[i] = oracle_srv->Execute(RequestFor(i));
+    ASSERT_TRUE(oracle[i].ok()) << oracle[i].status.ToString();
+  }
+
+  // Facade TopK/Aggregate callers and server clients crack one fresh
+  // tree at once; cracking moves cost, never answers.
+  std::shared_ptr<core::VirtualKnowledgeGraph> vkg = MakeVkg();
+  ServerConfig config;
+  config.shards = 2;
+  auto srv = MakeServer(config, vkg);
+  const size_t threads = ChaosThreads();
+  std::vector<std::vector<query::ServerResponse>> responses(
+      threads, std::vector<query::ServerResponse>(workload_->size()));
+  std::vector<std::thread> crew;
+  crew.reserve(threads);
+  for (size_t t = 0; t < threads; ++t) {
+    crew.emplace_back([&, t] {
+      for (size_t i = 0; i < workload_->size(); ++i) {
+        const size_t j = (i + t * 7) % workload_->size();
+        const query::ServerRequest r = RequestFor(j);
+        query::ServerResponse& out = responses[t][j];
+        if (t % 2 == 0) {
+          out = srv->Execute(r);
+        } else if (r.kind == query::RequestKind::kTopK) {
+          out.topk = vkg->TopK(r.query, r.k);
+        } else {
+          util::Result<query::AggregateResult> agg =
+              vkg->Aggregate(r.aggregate);
+          if (!agg.ok()) {
+            out.status = agg.status();
+            continue;
+          }
+          out.aggregate = std::move(agg).value();
+        }
+      }
+    });
+  }
+  for (std::thread& th : crew) th.join();
+  srv->Drain();
+  for (size_t t = 0; t < threads; ++t) {
+    for (size_t i = 0; i < workload_->size(); ++i) {
+      ExpectSameAnswer(responses[t][i], oracle[i], i);
+    }
+  }
+}
+
+TEST_F(ServerTest, ServerOverLoadedIndexPublishesNoCrack) {
+  // Crack a VKG's tree to a fixed point on the stream, then save it.
+  std::shared_ptr<core::VirtualKnowledgeGraph> cracked = MakeVkg();
+  const std::vector<query::ServerRequest> requests = BothDirections();
+  {
+    auto warm = MakeServer(ServerConfig{}, cracked);
+    ASSERT_GT(CrackToFixedPoint(*warm, requests), 0u);
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("vkg_server_index_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  ASSERT_TRUE(cracked->SaveIndex(path).ok());
+
+  // A server created after LoadIndex serves from the loaded tree: its
+  // first pass over the saved keys finds every region already cracked.
+  std::shared_ptr<core::VirtualKnowledgeGraph> loaded = MakeVkg();
+  ASSERT_TRUE(loaded->LoadIndex(path).ok());
+  std::filesystem::remove(path);
+  auto srv = MakeServer(ServerConfig{}, loaded);
+  const uint64_t before = srv->Stats().generation;
+  for (query::ServerRequest r : requests) {
+    r.bypass_cache = true;
+    ASSERT_TRUE(srv->Execute(r).ok());
+  }
+  EXPECT_EQ(srv->Stats().generation, before)
+      << "the first pass over a loaded, settled tree published a crack";
 }
 
 TEST_F(ServerTest, CacheDisabledNeverHits) {
@@ -646,7 +847,8 @@ TEST_F(ServerTest, PublishStatsExportsShardGauges) {
   const std::string prom =
       obs::MetricsRegistry::Global().PrometheusText();
   EXPECT_NE(prom.find("vkg_server_shards 2"), std::string::npos);
-  EXPECT_NE(prom.find("vkg_server_shard_0_generation"), std::string::npos);
+  EXPECT_NE(prom.find("vkg_server_generation"), std::string::npos);
+  EXPECT_EQ(prom.find("vkg_server_shard_0_generation"), std::string::npos);
   EXPECT_NE(prom.find("vkg_server_shard_1_cache_entries"),
             std::string::npos);
   EXPECT_NE(prom.find("vkg_server_requests_total"), std::string::npos);

@@ -5,7 +5,7 @@
 //   vkg_cli generate  --dataset movie --out-triples t.tsv [--scale 0.1]
 //   vkg_cli stats     --triples t.tsv | --openke DIR  (FB15k layout)
 //   vkg_cli train     --triples t.tsv --out-embeddings e.bin
-//                     [--model transe|transh] [--dim 50] [--epochs 50]
+//                     [--dim 50] [--epochs 50]
 //                     [--lr 0.01] [--margin 1.0] [--holdout 0]
 //   vkg_cli topk      --triples t.tsv --embeddings e.bin --anchor NAME
 //                     --relation NAME [--heads] [--k 10] [--method crack]
@@ -258,14 +258,6 @@ int CmdTrain(const Flags& flags) {
   config.epochs = flags.GetSize("epochs", 50);
   config.learning_rate = flags.GetDouble("lr", 0.01);
   config.margin = flags.GetDouble("margin", 1.0);
-  std::string model_name = flags.Get("model", "transe");
-  if (model_name == "transh") {
-    config.model = embedding::ModelKind::kTransH;
-  } else if (model_name == "transa") {
-    config.model = embedding::ModelKind::kTransA;
-  } else {
-    config.model = embedding::ModelKind::kTransE;
-  }
 
   size_t holdout = flags.GetSize("holdout", 0);
   util::Rng rng(flags.GetSize("seed", 42));
@@ -284,13 +276,9 @@ int CmdTrain(const Flags& flags) {
     std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
     return 1;
   }
-  std::printf("trained %s in %.1fs\n",
-              config.model == embedding::ModelKind::kTransH ? "TransH"
-                                                            : "TransE",
-              timer.ElapsedSeconds());
+  std::printf("trained TransE in %.1fs\n", timer.ElapsedSeconds());
 
-  if (!held_out.empty() &&
-      config.model == embedding::ModelKind::kTransE) {
+  if (!held_out.empty()) {
     embedding::TransE model(&*store, config.norm);
     auto metrics =
         embedding::EvaluateLinkPrediction(model, *graph, held_out);

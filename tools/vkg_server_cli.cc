@@ -55,7 +55,7 @@
 //   --seed S              workload seed (default 11)
 //
 // Output: a serving report (throughput, admission/cache/coalescing
-// counters, per-shard depth + crack generation) and, with
+// counters, crack generation, per-shard depth) and, with
 // --metrics[=prom|json], the obs registry including the vkg_server_*
 // series.
 
@@ -349,13 +349,13 @@ void PrintReport(const server::VkgServer& srv, double seconds,
       static_cast<unsigned long long>(stats.expired_waiting),
       static_cast<unsigned long long>(stats.pressure_degraded),
       server::PressureLevelName(stats.memory.level).data());
-  std::printf("  %-6s %-8s %-10s %-11s %-9s %-9s %-9s %-6s\n", "shard",
-              "depth", "peak", "generation", "entries", "bytes",
-              "breaker", "trips");
+  std::printf("  crack generation %llu\n",
+              static_cast<unsigned long long>(stats.generation));
+  std::printf("  %-6s %-8s %-10s %-9s %-9s %-9s %-6s\n", "shard", "depth",
+              "peak", "entries", "bytes", "breaker", "trips");
   for (const auto& shard : stats.shards) {
-    std::printf("  %-6zu %-8zu %-10zu %-11llu %-9zu %-9zu %-9s %-6llu\n",
+    std::printf("  %-6zu %-8zu %-10zu %-9zu %-9zu %-9s %-6llu\n",
                 shard.shard, shard.depth, shard.peak_depth,
-                static_cast<unsigned long long>(shard.generation),
                 shard.cache.entries, shard.cache.bytes,
                 server::BreakerStateName(shard.breaker.state).data(),
                 static_cast<unsigned long long>(shard.breaker.trips));
