@@ -81,14 +81,8 @@ MethodRun MakeMethod(const data::Dataset& ds, index::MethodKind kind,
       break;
     case index::MethodKind::kPhTree: {
       const auto& store = ds.embeddings;
-      std::vector<float> raw(store.num_entities() * store.dim());
-      for (size_t e = 0; e < store.num_entities(); ++e) {
-        std::span<const float> v =
-            store.Entity(static_cast<kg::EntityId>(e));
-        std::copy(v.begin(), v.end(), raw.begin() + e * store.dim());
-      }
       run.phtree = std::make_unique<index::PhTree>(
-          raw, store.num_entities(), store.dim());
+          store.EntityBlock(), store.num_entities(), store.dim());
       run.build_seconds = build_timer.ElapsedSeconds();
       run.engine = std::make_unique<query::PhTreeTopKEngine>(
           &ds.graph, &ds.embeddings, run.phtree.get());

@@ -1,6 +1,5 @@
 #include "core/virtual_graph.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "embedding/vector_ops.h"
@@ -61,10 +60,12 @@ VirtualKnowledgeGraph::BuildWithEmbeddings(const kg::KnowledgeGraph* graph,
   if (options.eps <= 0) {
     return util::Status::InvalidArgument("eps must be positive");
   }
-  auto vkg = std::unique_ptr<VirtualKnowledgeGraph>(new VirtualKnowledgeGraph(
+  // Embeddings are frozen from here on: give the batch kernels the
+  // padded SoA fast path before the store becomes the facade's const
+  // member.
+  store.BuildPaddedMirror();
+  return std::unique_ptr<VirtualKnowledgeGraph>(new VirtualKnowledgeGraph(
       graph, std::move(store), options.Normalized()));
-  VKG_RETURN_IF_ERROR(vkg->Initialize());
-  return vkg;
 }
 
 util::Result<std::unique_ptr<VirtualKnowledgeGraph>>
@@ -81,15 +82,9 @@ VirtualKnowledgeGraph::BuildWithTraining(const kg::KnowledgeGraph* graph,
 VirtualKnowledgeGraph::VirtualKnowledgeGraph(const kg::KnowledgeGraph* graph,
                                              embedding::EmbeddingStore store,
                                              VkgOptions options)
-    : graph_(graph), store_(std::move(store)), options_(std::move(options)) {}
-
-util::Status VirtualKnowledgeGraph::Initialize() {
+    : graph_(graph), store_(std::move(store)), options_(std::move(options)) {
   using index::MethodKind;
 
-  // Embeddings are frozen from here on (training/updates rebuild the
-  // indices via Initialize too): give the batch kernels the padded SoA
-  // fast path. Any later mutable Entity() access drops the mirror.
-  store_.BuildPaddedMirror();
   jl_ = std::make_unique<transform::JlTransform>(store_.dim(), options_.alpha,
                                                  options_.jl_seed);
   points_s2_ = std::make_unique<index::PointSet>(jl_->ApplyToEntities(store_),
@@ -105,20 +100,13 @@ util::Status VirtualKnowledgeGraph::Initialize() {
       topk_engine_ =
           std::make_unique<query::LinearTopKEngine>(graph_, &store_);
       break;
-    case MethodKind::kPhTree: {
+    case MethodKind::kPhTree:
       // Index the high-dimensional S1 vectors directly.
-      std::vector<float> raw(store_.num_entities() * store_.dim());
-      for (size_t e = 0; e < store_.num_entities(); ++e) {
-        std::span<const float> v =
-            store_.Entity(static_cast<kg::EntityId>(e));
-        std::copy(v.begin(), v.end(), raw.begin() + e * store_.dim());
-      }
-      phtree_ = std::make_unique<index::PhTree>(raw, store_.num_entities(),
-                                                store_.dim());
+      phtree_ = std::make_unique<index::PhTree>(
+          store_.EntityBlock(), store_.num_entities(), store_.dim());
       topk_engine_ = std::make_unique<query::PhTreeTopKEngine>(
           graph_, &store_, phtree_.get());
       break;
-    }
     case MethodKind::kH2Alsh:
       topk_engine_ = std::make_unique<query::H2AlshTopKEngine>(
           graph_, &store_, options_.h2alsh);
@@ -127,7 +115,6 @@ util::Status VirtualKnowledgeGraph::Initialize() {
       break;
   }
   BindEngines();
-  return util::Status::OK();
 }
 
 void VirtualKnowledgeGraph::BindEngines() {
@@ -158,42 +145,7 @@ query::TopKResult VirtualKnowledgeGraph::TopK(const data::Query& query,
   query::QueryContext ctx;
   ApplyQueryLimits(options_, ctx);
   ctx.set_trace(trace);
-  query::TopKResult result = topk_engine_->TopKQuery(query, k, ctx);
-  if (overlay_.empty()) return result;
-
-  // Merge overlay entities (whose S2 index position may be stale) by
-  // exact S1 distance; existing hits keep their (already exact)
-  // distances. Probabilities are re-calibrated afterwards.
-  auto skip = query::MakeSkipFn(*graph_, query);
-  std::vector<float> q =
-      store_.QueryCenter(query.anchor, query.relation, query.direction);
-  std::vector<std::pair<double, kg::EntityId>> merged;
-  merged.reserve(result.hits.size() + overlay_.size());
-  for (const auto& hit : result.hits) {
-    merged.emplace_back(hit.distance, hit.entity);
-  }
-  for (kg::EntityId e : overlay_) {
-    if (skip(e)) continue;
-    merged.emplace_back(embedding::L2Distance(store_.Entity(e), q), e);
-  }
-  std::sort(merged.begin(), merged.end());
-  merged.erase(std::unique(merged.begin(), merged.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.second == b.second;
-                           }),
-               merged.end());
-  if (merged.size() > k) merged.resize(k);
-
-  query::TopKResult out;
-  out.candidates_examined = result.candidates_examined + overlay_.size();
-  out.quality = result.quality;  // overlay entities are always exact
-  if (!merged.empty()) {
-    query::ProbabilityModel pm(merged[0].first);
-    for (const auto& [dist, e] : merged) {
-      out.hits.push_back({e, dist, pm.ProbabilityAt(dist)});
-    }
-  }
-  return out;
+  return topk_engine_->TopKQuery(query, k, ctx);
 }
 
 util::ThreadPool* VirtualKnowledgeGraph::QueryPool() {
@@ -216,94 +168,6 @@ VirtualKnowledgeGraph::BatchAggregate(
     std::span<const query::AggregateSpec> specs) {
   return query::BatchAggregate(*aggregate_engine_, specs, QueryPool(),
                                MakeBatchOptions(options_));
-}
-
-util::Result<std::vector<query::TopKHit>>
-VirtualKnowledgeGraph::Neighborhood(const data::Query& query,
-                                    double prob_threshold,
-                                    size_t max_results) {
-  if (prob_threshold <= 0.0 || prob_threshold > 1.0) {
-    return util::Status::InvalidArgument(
-        "prob_threshold must be in (0, 1]");
-  }
-  // d_min from a top-1 probe (overlay-aware through TopK).
-  query::TopKResult top1 = TopK(query, 1);
-  if (top1.hits.empty()) return std::vector<query::TopKHit>{};
-  query::ProbabilityModel pm(top1.hits[0].distance);
-  const double r_tau = pm.RadiusForThreshold(prob_threshold);
-
-  auto skip = query::MakeSkipFn(*graph_, query);
-  std::vector<float> q_s1 =
-      store_.QueryCenter(query.anchor, query.relation, query.direction);
-  index::Point q_s2 = index::Point::FromSpan(jl_->Apply(q_s1));
-  index::Rect region = index::Rect::BoundingBoxOfBall(
-      q_s2, r_tau * (1.0 + options_.eps));
-
-  std::vector<query::TopKHit> hits;
-  auto consider = [&](kg::EntityId e) {
-    if (skip(e)) return;
-    double dist = embedding::L2Distance(store_.Entity(e), q_s1);
-    if (dist > r_tau) return;
-    hits.push_back({e, dist, pm.ProbabilityAt(dist)});
-  };
-  rtree_->Search(region, consider);
-  for (kg::EntityId e : overlay_) consider(e);
-
-  std::sort(hits.begin(), hits.end(),
-            [](const query::TopKHit& a, const query::TopKHit& b) {
-              return a.distance < b.distance;
-            });
-  hits.erase(std::unique(hits.begin(), hits.end(),
-                         [](const query::TopKHit& a,
-                            const query::TopKHit& b) {
-                           return a.entity == b.entity;
-                         }),
-             hits.end());
-  if (max_results > 0 && hits.size() > max_results) {
-    hits.resize(max_results);
-  }
-  if (index::CracksOnline(options_.method)) rtree_->Crack(region);
-  return hits;
-}
-
-std::vector<kg::PredictedEdge> VirtualKnowledgeGraph::MaterializeTopEdges(
-    std::span<const kg::EntityId> heads, kg::RelationId relation,
-    size_t k_per_head) {
-  std::vector<kg::PredictedEdge> edges;
-  edges.reserve(heads.size() * k_per_head);
-  for (kg::EntityId h : heads) {
-    query::TopKResult result = TopKTails(h, relation, k_per_head);
-    for (const auto& hit : result.hits) {
-      kg::PredictedEdge edge;
-      edge.triple = {h, relation, hit.entity};
-      edge.probability = hit.probability;
-      edges.push_back(edge);
-    }
-  }
-  return edges;
-}
-
-util::Status VirtualKnowledgeGraph::UpdateEntityEmbedding(
-    kg::EntityId e, std::span<const float> vector) {
-  if (e >= store_.num_entities()) {
-    return util::Status::OutOfRange("unknown entity id");
-  }
-  if (vector.size() != store_.dim()) {
-    return util::Status::InvalidArgument(util::StrFormat(
-        "vector size %zu != embedding dim %zu", vector.size(),
-        store_.dim()));
-  }
-  std::span<float> dst = store_.Entity(e);
-  std::copy(vector.begin(), vector.end(), dst.begin());
-  if (std::find(overlay_.begin(), overlay_.end(), e) == overlay_.end()) {
-    overlay_.push_back(e);
-  }
-  return util::Status::OK();
-}
-
-util::Status VirtualKnowledgeGraph::CompactUpdates() {
-  overlay_.clear();
-  return Initialize();
 }
 
 util::Result<query::TopKResult> VirtualKnowledgeGraph::TopKByName(

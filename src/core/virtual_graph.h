@@ -41,10 +41,12 @@ namespace vkg::core {
 /// (DESIGN.md §6f). BatchTopK / BatchAggregate below exploit this by
 /// fanning a query span over options.query_threads workers, and a
 /// server::VkgServer's shard workers compute on the same engines and
-/// tree. Dynamic updates (UpdateEntityEmbedding / CompactUpdates /
-/// LoadIndex) swap engine state and must still be externally
-/// synchronized against in-flight queries; a VkgServer holding this VKG
-/// offers no such point, so they are unsupported while it serves.
+/// tree. The embeddings are frozen at build time (embedding updates are
+/// the paper's §VIII future work); new facts added to the graph reach
+/// every query path through the known-edge exclusion. LoadIndex swaps
+/// the tree and engines and must be externally synchronized against
+/// in-flight queries; a VkgServer holding this VKG offers no such
+/// point, so it is unsupported while one serves.
 class VirtualKnowledgeGraph {
  public:
   /// Builds from precomputed S1 embeddings (the paper's setting: the
@@ -85,9 +87,6 @@ class VirtualKnowledgeGraph {
   /// statuses. options.query_budget applies per query;
   /// options.query_deadline_ms becomes one batch-wide wall-clock cutoff
   /// (BatchOptions semantics — late queries degrade, never fail).
-  /// Note: the batch path queries the index directly — entities with
-  /// pending embedding updates (pending_updates() > 0) are merged only
-  /// by the single-query TopK() form.
   std::vector<util::Result<query::TopKResult>> BatchTopK(
       std::span<const data::Query> queries, size_t k);
 
@@ -108,50 +107,6 @@ class VirtualKnowledgeGraph {
   /// Exact (no-index) aggregate: the accuracy baseline.
   util::Result<query::AggregateResult> ExactAggregate(
       const query::AggregateSpec& spec);
-
-  /// All entities whose predicted-edge probability for `query` is at
-  /// least `prob_threshold`, ascending by distance (the "ball" of
-  /// Section V-B as a first-class query). `max_results` == 0 means no
-  /// cap. Served by the R-tree regardless of the top-k method.
-  util::Result<std::vector<query::TopKHit>> Neighborhood(
-      const data::Query& query, double prob_threshold,
-      size_t max_results = 0);
-
-  /// Materializes the top-k predicted edges of one relationship type for
-  /// every head entity in `heads` (Definition 1's remark: edges of E'
-  /// are never stored, "only the highest probability ones are retrieved
-  /// on demand" — this is that retrieval in bulk, e.g. to precompute a
-  /// recommendation table). Results are grouped by head, in input order.
-  std::vector<kg::PredictedEdge> MaterializeTopEdges(
-      std::span<const kg::EntityId> heads, kg::RelationId relation,
-      size_t k_per_head);
-
-  // --- Dynamic updates (paper §VIII, future work) ---------------------------
-  //
-  // Local updates to the knowledge graph change embeddings locally. New
-  // *facts* need no index work at all: edge membership is read from the
-  // caller-owned KnowledgeGraph, so adding edges there immediately
-  // affects the E'-only skip semantics. Refreshed *embedding vectors*
-  // are absorbed through a small overlay: the entity's stale S2 point
-  // stays in the index (harmless — exact S1 distances are always
-  // recomputed), while the overlay is scanned exactly by every top-k
-  // query so the entity is also found at its new location. Call
-  // CompactUpdates() to fold the overlay back into a fresh index once
-  // it grows. Aggregate queries reflect refreshed vectors' exact
-  // distances immediately but re-localize them only after compaction.
-
-  /// Replaces the S1 embedding of `e` (size must equal dim). The update
-  /// is visible to top-k queries immediately via the overlay.
-  util::Status UpdateEntityEmbedding(kg::EntityId e,
-                                     std::span<const float> vector);
-
-  /// Number of entities currently in the overlay.
-  size_t pending_updates() const { return overlay_.size(); }
-
-  /// Rebuilds the transform target points and the index from the current
-  /// embeddings and clears the overlay. The new cracking index is empty
-  /// and re-cracks on demand. Not while a VkgServer serves this VKG.
-  util::Status CompactUpdates();
 
   // --- Point predictions ----------------------------------------------------
 
@@ -183,9 +138,9 @@ class VirtualKnowledgeGraph {
   const index::CrackingRTree& rtree() const { return *rtree_; }
   /// The engines behind TopK and Aggregate, for callers that bring their
   /// own QueryContext: the query server's shard workers compute on
-  /// these, so serving refines this VKG's one tree. LoadIndex and
-  /// CompactUpdates replace them (and the tree), so re-read them per
-  /// query and never run either while another thread queries.
+  /// these, so serving refines this VKG's one tree. LoadIndex replaces
+  /// them (and the tree), so re-read them per query and never load
+  /// while another thread queries.
   const query::TopKEngine& topk_engine() const { return *topk_engine_; }
   const query::AggregateEngine& aggregate_engine() const {
     return *aggregate_engine_;
@@ -194,8 +149,6 @@ class VirtualKnowledgeGraph {
  private:
   VirtualKnowledgeGraph(const kg::KnowledgeGraph* graph,
                         embedding::EmbeddingStore store, VkgOptions options);
-
-  util::Status Initialize();
 
   /// (Re)builds the engines that hold rtree_: the R-tree top-k engine
   /// (R-tree methods only) and the aggregate engine, cracking online iff
@@ -207,7 +160,9 @@ class VirtualKnowledgeGraph {
   util::ThreadPool* QueryPool();
 
   const kg::KnowledgeGraph* graph_;
-  embedding::EmbeddingStore store_;
+  /// Frozen after build: const, so no non-const Entity() access can
+  /// drop the padded SoA mirror the batch kernels and server read.
+  const embedding::EmbeddingStore store_;
   VkgOptions options_;
 
   std::unique_ptr<transform::JlTransform> jl_;
@@ -217,8 +172,6 @@ class VirtualKnowledgeGraph {
   std::unique_ptr<query::TopKEngine> topk_engine_;
   std::unique_ptr<query::AggregateEngine> aggregate_engine_;
   std::unique_ptr<util::ThreadPool> query_pool_;
-  /// Entities whose embedding changed since the last compaction.
-  std::vector<kg::EntityId> overlay_;
 };
 
 }  // namespace vkg::core

@@ -54,6 +54,8 @@ class EmbeddingStore {
   std::span<const float> Entity(kg::EntityId e) const {
     return {entities_.data() + static_cast<size_t>(e) * dim_, dim_};
   }
+  /// Every entity vector, row-major: num_entities() rows of dim().
+  std::span<const float> EntityBlock() const { return entities_; }
   std::span<float> Relation(kg::RelationId r) {
     return {relations_.data() + static_cast<size_t>(r) * dim_, dim_};
   }

@@ -151,14 +151,17 @@ void CrackingRTree::Crack(const Rect& query, util::QueryControl* control,
   if (points_->empty()) return;
   if (control != nullptr && control->ShouldStop()) return;
   obs::Span span(trace, "crack");
+  auto coalesced = [&] {
+    coalesced_cracks_.fetch_add(1, std::memory_order_relaxed);
+    CrackMetrics::Get().coalesced.Inc();
+    span.SetAttr("outcome", "coalesced");
+  };
   // Coalescing fast path: a fully-published crack region covering this
   // query already did every split this call would do (the tree only
   // ever gets more refined). Skipping is always sound — cracking
   // affects cost, never answers.
   if (CoveredByPublishedCrack(query)) {
-    coalesced_cracks_.fetch_add(1, std::memory_order_relaxed);
-    CrackMetrics::Get().coalesced.Inc();
-    span.SetAttr("outcome", "coalesced");
+    coalesced();
     return;
   }
   // Materialize the sort orders before serializing with other writers:
@@ -187,9 +190,7 @@ void CrackingRTree::Crack(const Rect& query, util::QueryControl* control,
         return;
       }
       if (CoveredByPublishedCrack(query)) {
-        coalesced_cracks_.fetch_add(1, std::memory_order_relaxed);
-        CrackMetrics::Get().coalesced.Inc();
-        span.SetAttr("outcome", "coalesced");
+        coalesced();
         return;
       }
       if (crack_mu_.try_lock_until(std::chrono::system_clock::now() +
@@ -217,14 +218,19 @@ void CrackingRTree::Crack(const Rect& query, util::QueryControl* control,
   std::vector<const Node*> retired;
   const Node* new_root = Refine(old_root, &query, control, /*shared=*/true,
                                 &complete, &retired);
-  Publish(old_root, new_root, retired);
-  crack_publishes_.fetch_add(1, std::memory_order_relaxed);
-  CrackMetrics::Get().publishes.Inc();
-  span.SetAttr("outcome", "published");
-  span.SetAttr("splits",
-               static_cast<double>(
-                   binary_splits_.load(std::memory_order_relaxed) -
-                   splits_before));
+  if (Publish(old_root, new_root, retired)) {
+    crack_publishes_.fetch_add(1, std::memory_order_relaxed);
+    CrackMetrics::Get().publishes.Inc();
+    span.SetAttr("outcome", "published");
+    span.SetAttr("splits",
+                 static_cast<double>(
+                     binary_splits_.load(std::memory_order_relaxed) -
+                     splits_before));
+  } else {
+    // Nothing to split: the tree already holds every split this crack
+    // would make, which is what a coalesced crack means.
+    coalesced();
+  }
   // Only a crack that ran to its stopping conditions makes the region
   // coalescable; a throttled one must be retryable by later queries.
   if (complete) NotePublishedCrack(query);
@@ -300,9 +306,9 @@ const Node* CrackingRTree::Refine(const Node* node, const Rect* query,
   return node;
 }
 
-void CrackingRTree::Publish(const Node* old_root, const Node* new_root,
+bool CrackingRTree::Publish(const Node* old_root, const Node* new_root,
                             const std::vector<const Node*>& retired) {
-  if (new_root == old_root) return;
+  if (new_root == old_root) return false;
   // Version swap: the release store pairs with readers' acquire load of
   // root_. Replaced nodes are unlinked from the published structure by
   // this store and only then retired — the ordering the epoch scheme's
@@ -313,6 +319,7 @@ void CrackingRTree::Publish(const Node* old_root, const Node* new_root,
   for (const Node* node : retired) {
     epoch.RetireObject(const_cast<Node*>(node), NodeBytes(*node));
   }
+  return true;
 }
 
 bool CrackingRTree::SplitPartitionCow(const Node& source, Node* dest,

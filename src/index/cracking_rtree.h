@@ -34,7 +34,7 @@ struct IndexStats {
 
   // Crack-contention counters (concurrent serving; DESIGN.md §6d/§6f).
   size_t crack_publishes = 0;   // cracks that mutated and published
-  size_t coalesced_cracks = 0;  // skipped: covered by a published crack
+  size_t coalesced_cracks = 0;  // skipped: covered, or nothing to split
   size_t abandoned_cracks = 0;  // gave up: stop-token or failpoint
   size_t crack_waits = 0;       // crack-mutex acquisitions that waited
 };
@@ -62,9 +62,9 @@ struct IndexStats {
 ///    bounded, QueryControl-aware waits: a contended crack past the
 ///    caller's deadline/cancel is abandoned (cracking refines
 ///    performance, never answers), and a crack whose region was already
-///    published by another thread is coalesced away. Readers never
-///    touch this mutex, so crack_waits counts writer-writer contention
-///    only.
+///    published by another thread, or that splits nothing, is coalesced
+///    away. Readers never touch this mutex, so crack_waits counts
+///    writer-writer contention only.
 ///
 /// The tree starts as a single partition holding every point and is
 /// *cracked* incrementally: each query region triggers top-down splits
@@ -216,10 +216,10 @@ class CrackingRTree {
   const Node* Refine(const Node* node, const Rect* query,
                      util::QueryControl* control, bool shared, bool* complete,
                      std::vector<const Node*>* retired);
-  /// Swaps the published version to `new_root` (no-op when it equals
-  /// `old_root`), bumps the crack generation, and only then retires the
-  /// replaced nodes. Caller holds crack_mu_.
-  void Publish(const Node* old_root, const Node* new_root,
+  /// Swaps the published version to `new_root`, bumps the crack
+  /// generation, and only then retires the replaced nodes. Returns false
+  /// (a no-op) when `new_root` equals `old_root`. Caller holds crack_mu_.
+  bool Publish(const Node* old_root, const Node* new_root,
                const std::vector<const Node*>& retired);
   /// Chunks contour element `source` into children written onto `dest`
   /// (one level of BULKLOADCHUNK) via a detached copy of the element's

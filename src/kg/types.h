@@ -26,12 +26,6 @@ struct Triple {
   }
 };
 
-/// A predicted edge in E' (Definition 1): a triple plus probability.
-struct PredictedEdge {
-  Triple triple;
-  double probability = 0.0;
-};
-
 /// Query direction: given (h, r) ask for tails, or given (t, r) ask for
 /// heads.
 enum class Direction { kTail, kHead };

@@ -496,8 +496,7 @@ query::ServerResponse VkgServer::ComputeOnWorker(
       ctx.control().set_budget(pressure_budget_);
       response.meta.degraded_by_pressure = true;
     }
-    // The engines are read per request: LoadIndex and CompactUpdates
-    // rebind them.
+    // The engines are read per request: LoadIndex rebinds them.
     if (key != nullptr) {
       computed_topk_.fetch_add(1, std::memory_order_relaxed);
       response.topk =

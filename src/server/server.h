@@ -163,10 +163,10 @@ class Waiter {
 ///
 /// Every shard computes on the VKG's own engines and its one cracking
 /// tree, read from the VKG on every request. The server holds shared
-/// ownership of the VKG; callers must not run CompactUpdates / LoadIndex
-/// on it while the server is serving (both replace the tree and engines
-/// that workers read lock-free, and a reloaded tree restarts the
-/// generation the cache stamps are checked against).
+/// ownership of the VKG; callers must not run LoadIndex on it while the
+/// server is serving (it replaces the tree and engines that workers read
+/// lock-free, and a reloaded tree restarts the generation the cache
+/// stamps are checked against).
 class VkgServer {
  public:
   static util::Result<std::unique_ptr<VkgServer>> Create(

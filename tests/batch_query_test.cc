@@ -158,12 +158,7 @@ TEST_F(BatchQueryTest, CrackingRTreeEngineBatchMatchesSequential) {
 
 TEST_F(BatchQueryTest, PhTreeEngineBatchMatchesSequential) {
   const auto& store = ds_->embeddings;
-  std::vector<float> raw(store.num_entities() * store.dim());
-  for (size_t e = 0; e < store.num_entities(); ++e) {
-    std::span<const float> v = store.Entity(static_cast<kg::EntityId>(e));
-    std::copy(v.begin(), v.end(), raw.begin() + e * store.dim());
-  }
-  index::PhTree tree(raw, store.num_entities(), store.dim());
+  index::PhTree tree(store.EntityBlock(), store.num_entities(), store.dim());
   PhTreeTopKEngine engine(&ds_->graph, &store, &tree);
   EXPECT_TRUE(engine.SupportsConcurrentQueries());
   CheckEngineParity(engine, 10);

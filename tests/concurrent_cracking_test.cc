@@ -305,6 +305,19 @@ TEST_F(ConcurrentCrackingTest, CoalescesDuplicateCracks) {
   EXPECT_EQ(s2.coalesced_cracks, 2u);
 }
 
+TEST_F(ConcurrentCrackingTest, NoOpCrackCountsAsCoalesced) {
+  // A crack of the whole bounding box splits nothing on a fresh tree
+  // (every partition already needs all its leaf pages), so no version
+  // is published: it must count as coalesced, not as a publish.
+  Rig rig(*ds_);
+  rig.tree.Crack(rig.tree.root().mbr);
+  index::IndexStats stats = rig.tree.Stats();
+  EXPECT_EQ(stats.crack_publishes, 0u);
+  EXPECT_EQ(stats.coalesced_cracks, 1u);
+  EXPECT_EQ(stats.abandoned_cracks, 0u);
+  EXPECT_EQ(rig.tree.crack_generation(), 0u);
+}
+
 TEST_F(ConcurrentCrackingTest, CrackUnderOwnReadPinPublishes) {
   // Under the latch design a crack beneath the caller's own read guard
   // had to be abandoned (self-deadlock); with epoch-published versions

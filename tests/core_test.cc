@@ -1,10 +1,15 @@
 // Tests for the VirtualKnowledgeGraph facade: build paths, validation,
-// name-based queries, prediction, and option normalization.
+// name-based queries, prediction, option normalization, new facts,
+// index persistence, and agreement between the query paths.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+
 #include "core/virtual_graph.h"
 #include "data/movielens_gen.h"
+#include "data/workload.h"
 
 namespace vkg::core {
 namespace {
@@ -113,31 +118,37 @@ TEST(VirtualGraphTest, TrainingOnEmptyGraphFails) {
   EXPECT_FALSE(VirtualKnowledgeGraph::BuildWithTraining(&g, {}).ok());
 }
 
+// Each case builds its own VKG: some add facts to the graph or load a
+// saved index, so cases share no state.
 class FacadeTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
+  void SetUp() override {
     data::MovieLensConfig config;
     config.num_users = 800;
     config.num_movies = 400;
-    config.seed = 71;
-    ds_ = new data::Dataset(data::GenerateMovieLensLike(config));
+    config.seed = 81;
+    ds_ = std::make_unique<data::Dataset>(data::GenerateMovieLensLike(config));
     VkgOptions options;
     options.method = index::MethodKind::kCracking;
     embedding::EmbeddingStore store = ds_->embeddings;
     auto built = VirtualKnowledgeGraph::BuildWithEmbeddings(
         &ds_->graph, std::move(store), options);
     ASSERT_TRUE(built.ok());
-    vkg_ = std::move(built).value().release();
+    vkg_ = std::move(built).value();
+
+    data::WorkloadConfig wc;
+    wc.num_queries = 5;
+    wc.tail_fraction = 1.0;
+    wc.only_relation = ds_->graph.relation_names().Lookup("likes");
+    wc.seed = 82;
+    queries_ = data::GenerateWorkload(ds_->graph, wc);
+    ASSERT_FALSE(queries_.empty());
   }
-  static void TearDownTestSuite() {
-    delete vkg_;
-    delete ds_;
-  }
-  static data::Dataset* ds_;
-  static VirtualKnowledgeGraph* vkg_;
+
+  std::unique_ptr<data::Dataset> ds_;
+  std::unique_ptr<VirtualKnowledgeGraph> vkg_;
+  std::vector<data::Query> queries_;
 };
-data::Dataset* FacadeTest::ds_ = nullptr;
-VirtualKnowledgeGraph* FacadeTest::vkg_ = nullptr;
 
 TEST_F(FacadeTest, HeadsAndTailsDiffer) {
   kg::RelationId likes = ds_->graph.relation_names().Lookup("likes");
@@ -191,19 +202,121 @@ TEST_F(FacadeTest, IntrospectionAccessors) {
   EXPECT_EQ(vkg_->jl().output_dim(), vkg_->options().alpha);
 }
 
-TEST_F(FacadeTest, MaterializeTopEdges) {
-  kg::RelationId likes = ds_->graph.relation_names().Lookup("likes");
-  auto users = ds_->graph.EntitiesOfType("user");
-  std::vector<kg::EntityId> heads(users.begin(), users.begin() + 5);
-  auto edges = vkg_->MaterializeTopEdges(heads, likes, 3);
-  EXPECT_LE(edges.size(), 15u);
-  EXPECT_GE(edges.size(), 5u);  // every user should get some prediction
-  for (const auto& e : edges) {
-    EXPECT_EQ(e.triple.relation, likes);
-    EXPECT_GT(e.probability, 0.0);
-    EXPECT_LE(e.probability, 1.0);
-    // Materialized edges are genuinely new.
-    EXPECT_FALSE(ds_->graph.HasEdge(e.triple.head, likes, e.triple.tail));
+TEST_F(FacadeTest, NewFactsAreSkippedImmediately) {
+  const data::Query& q = queries_[2];
+  auto before = vkg_->TopK(q, 3);
+  ASSERT_FALSE(before.hits.empty());
+  kg::EntityId predicted = before.hits[0].entity;
+  // The user acts on the recommendation: the fact enters E.
+  ds_->graph.AddEdge(q.anchor, q.relation, predicted);
+  auto after = vkg_->TopK(q, 3);
+  for (const auto& h : after.hits) EXPECT_NE(h.entity, predicted);
+}
+
+TEST_F(FacadeTest, IndexPersistenceThroughFacade) {
+  // Warm the index, save, rebuild a fresh VKG, load: results and index
+  // shape must match the warmed instance.
+  for (const auto& q : queries_) vkg_->TopK(q, 10);
+  auto warmed_stats = vkg_->IndexStats();
+  std::string path =
+      (std::filesystem::temp_directory_path() / "vkg_facade_index.bin")
+          .string();
+  ASSERT_TRUE(vkg_->SaveIndex(path).ok());
+
+  VkgOptions options;
+  options.method = index::MethodKind::kCracking;
+  embedding::EmbeddingStore store = ds_->embeddings;
+  auto fresh = VirtualKnowledgeGraph::BuildWithEmbeddings(
+      &ds_->graph, std::move(store), options);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ((*fresh)->IndexStats().num_nodes, 1u);
+  ASSERT_TRUE((*fresh)->LoadIndex(path).ok());
+  EXPECT_EQ((*fresh)->IndexStats().num_nodes, warmed_stats.num_nodes);
+
+  for (const auto& q : queries_) {
+    auto a = vkg_->TopK(q, 10);
+    auto b = (*fresh)->TopK(q, 10);
+    ASSERT_EQ(a.hits.size(), b.hits.size());
+    for (size_t i = 0; i < a.hits.size(); ++i) {
+      EXPECT_EQ(a.hits[i].entity, b.hits[i].entity);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(FacadeTest, PaddedMirrorSurvivesBuildAndQueries) {
+  // The batch kernels and the server's workers read the padded SoA
+  // mirror; no build path or facade query may drop it.
+  const data::Query& q = queries_[0];
+  const kg::EntityId movie = ds_->graph.EntitiesOfType("movie")[0];
+  for (int m = 0; m <= static_cast<int>(index::MethodKind::kH2Alsh); ++m) {
+    VkgOptions options;
+    options.method = static_cast<index::MethodKind>(m);
+    const std::string_view name = index::MethodName(options.method);
+    auto vkg = VirtualKnowledgeGraph::BuildWithEmbeddings(
+        &ds_->graph, ds_->embeddings, options);
+    ASSERT_TRUE(vkg.ok()) << name;
+    EXPECT_TRUE((*vkg)->embeddings().has_padded_mirror())
+        << name << ": dropped by the build";
+    (*vkg)->PredictProbability(q.anchor, q.relation, movie);
+    (*vkg)->TopK(q, 5);
+    EXPECT_TRUE((*vkg)->embeddings().has_padded_mirror())
+        << name << ": dropped by a query";
+  }
+}
+
+void ExpectSameHits(const query::TopKResult& a, const query::TopKResult& b) {
+  ASSERT_EQ(a.hits.size(), b.hits.size());
+  for (size_t h = 0; h < a.hits.size(); ++h) {
+    EXPECT_EQ(a.hits[h].entity, b.hits[h].entity) << "hit " << h;
+    EXPECT_EQ(a.hits[h].distance, b.hits[h].distance) << "hit " << h;
+  }
+}
+
+TEST_F(FacadeTest, EveryPathReturnsTheSameAnswer) {
+  // Facade TopK, the BatchTopK slot and the engine the server computes
+  // on must agree, before and after each query's top answer becomes a
+  // fact (which every path must then skip).
+  data::WorkloadConfig wc;
+  wc.num_queries = 50;
+  wc.seed = 83;
+  const std::vector<data::Query> queries =
+      data::GenerateWorkload(ds_->graph, wc);
+  ASSERT_EQ(queries.size(), 50u);
+  std::vector<kg::EntityId> added(queries.size(), kg::kInvalidEntity);
+  for (int round = 0; round < 2; ++round) {
+    // Warm until no query publishes a crack, so all paths read one tree.
+    for (int pass = 0; pass < 10; ++pass) {
+      const uint64_t before = vkg_->rtree().crack_generation();
+      for (const data::Query& q : queries) vkg_->TopK(q, 10);
+      if (vkg_->rtree().crack_generation() == before) break;
+    }
+    const uint64_t generation = vkg_->rtree().crack_generation();
+    auto batch = vkg_->BatchTopK(queries, 10);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " query "
+                                        << i);
+      query::QueryContext ctx;
+      const query::TopKResult facade = vkg_->TopK(queries[i], 10);
+      ASSERT_FALSE(facade.hits.empty());
+      ASSERT_TRUE(batch[i].ok());
+      ExpectSameHits(facade, *batch[i]);
+      ExpectSameHits(facade,
+                     vkg_->topk_engine().TopKQuery(queries[i], 10, ctx));
+      for (const auto& hit : facade.hits) EXPECT_NE(hit.entity, added[i]);
+      if (round == 0) added[i] = facade.hits[0].entity;
+    }
+    EXPECT_EQ(vkg_->rtree().crack_generation(), generation)
+        << "the tree changed between paths";
+    if (round == 1) break;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const data::Query& q = queries[i];
+      if (q.direction == kg::Direction::kTail) {
+        ds_->graph.AddEdge(q.anchor, q.relation, added[i]);
+      } else {
+        ds_->graph.AddEdge(added[i], q.relation, q.anchor);
+      }
+    }
   }
 }
 
